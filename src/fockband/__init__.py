@@ -3,8 +3,9 @@
 The package realizes n isometries with orthogonal ranges on a truncated
 word space, forms the band operator of a matrix tuple against them, and
 decides contraction properties of the tuple through eigenvalue margins,
-joint numerical radius sweeps, shorted-operator completions, arrowhead
-certificates, isometric dilation, and radius-preserving lifts.
+exact joint numerical radii (one band eigenvalue each, by rotation
+invariance), shorted-operator completions, arrowhead certificates,
+isometric dilation, and radius-preserving lifts.
 """
 
 from .errors import (CapacityError, ConvergenceError, DomainError, FockbandError,

@@ -210,11 +210,11 @@ def lift_tuple(q: QuotientAlgebra, t: MatrixTuple, depth: int,
                theta_points: int = THETA_POINTS, cap: int = EIG_CAP) -> LiftResult:
     """Lift a quotient tuple by zero-padding the ideal blocks.
 
-    Joint-radius estimates for the base and the lift are compared on the
-    raw angle grid (no refinement): the rotated Hermitian parts agree
-    angle by angle because the padded blocks contribute a zero direct
-    summand and the coupling operator is traceless, so the grid maxima
-    must match to eigensolver accuracy.
+    The joint radii of the base and the lift are compared depth by depth:
+    the padded blocks add a direct summand on which the band operator is
+    the identity, and the band's least eigenvalue never exceeds 1 (the
+    coupling operator is traceless), so the radii must match to
+    eigensolver accuracy.
     """
     pairs = _quotient_slices(q)
     if t.p != q.quotient_size:
@@ -242,9 +242,9 @@ def lift_tuple(q: QuotientAlgebra, t: MatrixTuple, depth: int,
     lifted_lower = []
     for d in depths:
         base_lower.append(joint_numerical_radius(
-            t, d, theta_points=theta_points, refine=False, cap=cap).lower)
+            t, d, theta_points=theta_points, cap=cap).lower)
         lifted_lower.append(joint_numerical_radius(
-            lifted, d, theta_points=theta_points, refine=False, cap=cap).lower)
+            lifted, d, theta_points=theta_points, cap=cap).lower)
     return LiftResult(lifted=lifted, depths=depths,
                       base_lower=tuple(base_lower), lifted_lower=tuple(lifted_lower))
 

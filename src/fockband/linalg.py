@@ -173,8 +173,8 @@ def _start_vector(n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _lanczos_top(h, start: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """Top eigenpair of a large sparse Hermitian operator.
+def _lanczos_top(h, start: np.ndarray) -> float:
+    """Top eigenvalue of a large sparse Hermitian operator.
 
     A failed default Lanczos run is retried once with a larger subspace;
     a still-failing problem of moderate size falls back to the dense
@@ -184,39 +184,30 @@ def _lanczos_top(h, start: np.ndarray) -> tuple[float, np.ndarray | None]:
     last: Exception | None = None
     for ncv in (None, min(64, n - 1)):
         try:
-            w, v = spla.eigsh(h, k=1, which="LA", v0=start, ncv=ncv)
-            return float(w[0]), v[:, 0]
+            w, _ = spla.eigsh(h, k=1, which="LA", v0=start, ncv=ncv)
+            return float(w[0])
         except spla.ArpackNoConvergence as exc:
             if len(exc.eigenvalues):
-                return float(np.max(exc.eigenvalues)), None
+                return float(np.max(exc.eigenvalues))
             last = exc
         except spla.ArpackError as exc:
             last = exc
     if n <= 4 * DENSE_EIG_LIMIT:
-        return float(np.linalg.eigvalsh(hermitize(h.toarray()))[-1]), None
+        return float(np.linalg.eigvalsh(hermitize(h.toarray()))[-1])
     raise ConvergenceError("Lanczos iteration failed to converge for lam_max") from last
 
 
-def lam_max(h, v0: np.ndarray | None = None) -> float:
+def lam_max(h) -> float:
     """Largest eigenvalue of a Hermitian operator, dense or sparse."""
     if sp.issparse(h):
         n = h.shape[0]
         if n <= DENSE_EIG_LIMIT:
             return float(np.linalg.eigvalsh(hermitize(h.toarray()))[-1])
-        start = v0 if v0 is not None else _start_vector(n)
-        return _lanczos_top(h, start)[0]
+        return _lanczos_top(h, _start_vector(n))
     h = hermitize(h)
     if h.shape[0] == 0:
         raise InputError("lam_max of an empty matrix")
     return float(np.linalg.eigvalsh(h)[-1])
-
-
-def lam_max_vec(h, v0: np.ndarray | None = None) -> tuple[float, np.ndarray | None]:
-    """Largest eigenvalue together with an eigenvector for warm starts."""
-    if sp.issparse(h) and h.shape[0] > DENSE_EIG_LIMIT:
-        start = v0 if v0 is not None else _start_vector(h.shape[0])
-        return _lanczos_top(h, start)
-    return lam_max(h), None
 
 
 def lam_min(h) -> float:

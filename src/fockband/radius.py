@@ -1,13 +1,16 @@
 """Numerical radius estimation and the two contraction predicates.
 
-The numerical radius of an operator T is estimated from below by sweeping
-``max_theta lam_max(Re(e^{i theta} T))`` over a uniform angle grid and
-refining the best grid lobes by golden-section search.  The sweep value is
-always a certified lower bound; the matching upper bound adds the
+The numerical radius of a single operator T is estimated from below by
+sweeping ``max_theta lam_max(Re(e^{i theta} T))`` over a uniform angle grid
+and refining the best grid lobes by golden-section search.  The sweep value
+is always a certified lower bound; the matching upper bound adds the
 Lipschitz slack ``||T|| * pi / theta_points``.
 
 The joint radius of a matrix tuple (a_1, .., a_n) at truncation depth d is
-the numerical radius of ``sum_j S_j (x) a_j*`` on the depth-d word space.
+the numerical radius of ``T_d = sum_j S_j (x) a_j*`` on the depth-d word
+space.  Every rotation of T_d is unitarily equivalent to T_d, so no angle
+sweep is needed: the joint radius is ``(1 - lam_min(band_d)) / 2`` exactly,
+read off one extremal eigenvalue of the band operator ``I + T_d + T_d*``.
 It is nondecreasing in d, so each evaluation lower-bounds the limit.
 
 Two predicates return three-valued verdicts:
@@ -30,8 +33,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CapacityError, InputError
-from .fock import band_operator_sparse, coupling_operator_sparse, fock_dim, make_fock
-from .linalg import as_matrix, lam_max_vec, lam_min, op_norm
+from .fock import band_operator_sparse, fock_dim, make_fock
+from .linalg import as_matrix, lam_max, lam_min, op_norm
 
 if TYPE_CHECKING:
     from .shorted import AndoCertificate
@@ -108,23 +111,19 @@ class ContractionVerdict:
     certificate: "AndoCertificate | None" = None
 
 
-def _angle_sweep(t_mat, theta_points: int, refine: bool) -> float:
-    """Best lower bound for max_theta lam_max(Re(e^{i theta} T))."""
+def _check_theta_points(theta_points: int) -> None:
     if theta_points < 8:
         raise InputError(f"theta_points must be >= 8, got {theta_points}")
-    if sp.issparse(t_mat):
-        t_adj = t_mat.conj().T.tocsr()
-    else:
-        t_adj = t_mat.conj().T
-    warm = {"v0": None}
+
+
+def _angle_sweep(t_mat, theta_points: int, refine: bool) -> float:
+    """Best lower bound for max_theta lam_max(Re(e^{i theta} T))."""
+    _check_theta_points(theta_points)
+    t_adj = t_mat.conj().T
 
     def f(theta: float) -> float:
         z = np.exp(1j * theta)
-        h = 0.5 * (z * t_mat + np.conj(z) * t_adj)
-        val, vec = lam_max_vec(h, v0=warm["v0"])
-        if vec is not None:
-            warm["v0"] = vec
-        return val
+        return lam_max(0.5 * (z * t_mat + np.conj(z) * t_adj))
 
     step = 2.0 * math.pi / theta_points
     vals = np.array([f(k * step) for k in range(theta_points)])
@@ -176,15 +175,24 @@ def numerical_radius(t, theta_points: int = THETA_POINTS, refine: bool = True) -
 
 
 def joint_numerical_radius(t: MatrixTuple, depth: int, theta_points: int = THETA_POINTS,
-                           refine: bool = True, cap: int = EIG_CAP) -> RadiusEstimate:
-    """Joint radius of a tuple at truncation depth ``depth``."""
+                           cap: int = EIG_CAP) -> RadiusEstimate:
+    """Joint radius of a tuple at truncation depth ``depth``, exact up to the eigensolve.
+
+    With D_w = diag(w^|word|) (x) I, D_w T D_w* = w T for every |w| = 1, so all
+    rotations of T are unitarily equivalent and the angle maximum is the value
+    at any one angle: lam_max(Re(-T)) = (1 - lam_min(band)) / 2.  The bracket
+    is therefore closed (``grid_upper == lower``); ``theta_points`` is only
+    validated and echoed.
+    """
+    _check_theta_points(theta_points)
+    w = 0.5 * (1.0 - _band_min_eig(t, depth, cap))
+    return RadiusEstimate(lower=w, grid_upper=w, depth=depth, theta_points=theta_points)
+
+
+def _band_min_eig(t: MatrixTuple, depth: int, cap: int) -> float:
+    """Least eigenvalue of the band operator of ``t`` at truncation depth ``depth``."""
     _check_capacity(t, depth, cap)
-    f = make_fock(t.n, depth)
-    op = coupling_operator_sparse(f, t)
-    lower = _angle_sweep(op, theta_points, refine)
-    slack = op_norm(op) * math.pi / theta_points
-    return RadiusEstimate(lower=float(lower), grid_upper=float(lower + slack),
-                          depth=depth, theta_points=theta_points)
+    return float(lam_min(band_operator_sparse(make_fock(t.n, depth), t)))
 
 
 def _check_capacity(t: MatrixTuple, depth: int, cap: int) -> None:
@@ -219,9 +227,7 @@ def is_dual_row_contraction(t: MatrixTuple, max_depth: int = MAX_DEPTH, tol: flo
     _check_capacity(t, max_depth, cap)
     margin = 1.0
     for d in range(max_depth + 1):
-        f = make_fock(t.n, d)
-        band = band_operator_sparse(f, t)
-        margin = lam_min(band)
+        margin = _band_min_eig(t, d, cap)
         if margin < -tol:
             return ContractionVerdict(status=CERTIFIED_NO, margin=float(margin), depth=d)
     from .shorted import ando_complete  # deferred to avoid an import cycle

@@ -78,6 +78,7 @@ class TestRadiusVerbs:
         report = json.loads(out)
         assert report["depth"] == 4
         assert report["lower"] == pytest.approx(0.5 * math.cos(math.pi / 6), abs=1e-9)
+        assert report["upper"] == report["lower"]
 
 
 class TestSweep:

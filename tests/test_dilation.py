@@ -126,8 +126,7 @@ class TestLift:
     def test_lifted_radius_matches_direct_estimate(self):
         q = quotient_algebra([1, 1], [0])
         res = lift_tuple(q, scalars(0.2, 0.3), depth=3, theta_points=16)
-        direct = joint_numerical_radius(res.lifted, 3, theta_points=16,
-                                        refine=False).lower
+        direct = joint_numerical_radius(res.lifted, 3, theta_points=16).lower
         assert res.lifted_lower[-1] == pytest.approx(direct, abs=1e-12)
 
     def test_rejects_off_block_support(self):

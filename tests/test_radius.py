@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockband import (CERTIFIED_NO, CERTIFIED_YES, UNDECIDED, CapacityError,
-                      MatrixTuple, band_operator, dual_implies_row,
-                      is_dual_row_contraction, is_row_contraction,
+                      MatrixTuple, band_operator, coupling_operator_sparse,
+                      dual_implies_row, is_dual_row_contraction, is_row_contraction,
                       joint_numerical_radius, lam_min, make_fock,
                       numerical_radius)
 
@@ -81,7 +83,7 @@ class TestJointRadius:
 
     def test_depth_monotone_on_fixed_grid(self, rng):
         t = random_tuple(rng, 2, 2, scale=0.4)
-        lowers = [joint_numerical_radius(t, depth=d, theta_points=32, refine=False).lower
+        lowers = [joint_numerical_radius(t, depth=d, theta_points=32).lower
                   for d in range(6)]
         for a, b in zip(lowers, lowers[1:]):
             assert b >= a - 1e-12
@@ -98,14 +100,29 @@ class TestJointRadius:
         t2 = scalars(0.25, 0.1)
         joined = MatrixTuple.from_arrays(
             [np.diag([a[0, 0], b[0, 0]]) for a, b in zip(t1.a, t2.a)])
-        w1 = joint_numerical_radius(t1, depth=3, theta_points=64, refine=False).lower
-        w2 = joint_numerical_radius(t2, depth=3, theta_points=64, refine=False).lower
-        w = joint_numerical_radius(joined, depth=3, theta_points=64, refine=False).lower
+        w1 = joint_numerical_radius(t1, depth=3, theta_points=64).lower
+        w2 = joint_numerical_radius(t2, depth=3, theta_points=64).lower
+        w = joint_numerical_radius(joined, depth=3, theta_points=64).lower
         assert w == pytest.approx(max(w1, w2), abs=1e-10)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             joint_numerical_radius(scalars(0.3, 0.4), depth=30)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 3), p=st.integers(1, 3), depth=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 2.0),
+           phi=st.floats(0.0, 2.0 * math.pi))
+    def test_one_eigensolve_matches_angle_sweep(self, n, p, depth, seed, scale, phi):
+        t = random_tuple(np.random.default_rng(seed), n, p, scale=scale)
+        est = joint_numerical_radius(t, depth)
+        assert est.grid_upper == est.lower
+        op = coupling_operator_sparse(make_fock(n, depth), t).toarray()
+        sweep = numerical_radius(op, theta_points=720)
+        assert est.lower == pytest.approx(sweep.lower, abs=1e-9)
+        assert est.lower <= sweep.grid_upper
+        rotated = joint_numerical_radius(t.scale(np.exp(1j * phi)), depth)
+        assert rotated.lower == pytest.approx(est.lower, abs=1e-12)
 
 
 class TestRowContraction:
