@@ -8,15 +8,14 @@ invariance), shorted-operator completions, arrowhead certificates,
 isometric dilation, and radius-preserving lifts.
 """
 
-from .errors import (CapacityError, ConvergenceError, DomainError, FockbandError,
-                     InputError, SolveError)
-from .fock import (CuntzIsometries, TruncatedFock, band_operator, band_operator_sparse,
-                   compress, coupling_operator_sparse, cuntz_isometries, fock_dim,
-                   make_fock)
+from .errors import CapacityError, ConvergenceError, DomainError, FockbandError, InputError
+from .fock import (CuntzIsometries, MatrixTuple, TruncatedFock, band_operator,
+                   band_operator_sparse, compress, coupling_operator_sparse,
+                   cuntz_isometries, fock_dim, make_fock)
 from .linalg import (PsdReport, herm_eig, hermitize, kron, lam_max, lam_min, op_norm,
-                     pinv, psd_margin, solve)
+                     pinv, psd_margin)
 from .radius import (CERTIFIED_NO, CERTIFIED_YES, UNDECIDED, ContractionVerdict,
-                     DualRowReport, MatrixTuple, RadiusEstimate, dual_implies_row,
+                     DualRowReport, RadiusEstimate, dual_implies_row,
                      is_dual_row_contraction, is_row_contraction,
                      joint_numerical_radius, numerical_radius)
 from .shorted import (AndoCertificate, BlockSplit, SelfSimilarityReport, ShortResult,
@@ -34,8 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FockbandError", "InputError", "CapacityError", "DomainError", "ConvergenceError",
-    "SolveError",
-    "PsdReport", "hermitize", "herm_eig", "psd_margin", "kron", "solve", "pinv",
+    "PsdReport", "hermitize", "herm_eig", "psd_margin", "kron", "pinv",
     "op_norm", "lam_max", "lam_min",
     "TruncatedFock", "CuntzIsometries", "fock_dim", "make_fock", "cuntz_isometries",
     "band_operator", "band_operator_sparse", "coupling_operator_sparse", "compress",

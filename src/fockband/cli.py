@@ -25,8 +25,7 @@ from typing import Any
 import numpy as np
 
 from . import dilation, ensys, radius, serialize, shorted
-from .errors import (CapacityError, ConvergenceError, DomainError, FockbandError,
-                     InputError, SolveError)
+from .errors import CapacityError, ConvergenceError, DomainError, FockbandError, InputError
 from .linalg import psd_margin
 
 ENV_PREFIX = "FOCKBAND_"
@@ -289,7 +288,7 @@ def main(argv=None) -> int:
         code, report = 3, {"error": type(exc).__name__, "message": str(exc)}
     except DomainError as exc:
         code, report = 1, {"error": "DomainError", "message": str(exc)}
-    except (ConvergenceError, SolveError) as exc:
+    except ConvergenceError as exc:
         code, report = 2, {"error": type(exc).__name__, "message": str(exc)}
     except FockbandError as exc:
         code, report = 3, {"error": type(exc).__name__, "message": str(exc)}

@@ -24,9 +24,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError, InputError
-from .fock import fock_dim, make_fock
+from .fock import EIG_CAP, MatrixTuple, check_capacity, make_fock
 from .linalg import hermitize
-from .radius import EIG_CAP, THETA_POINTS, MatrixTuple, joint_numerical_radius
+from .radius import THETA_POINTS, joint_numerical_radius
 
 #: Eigenvalues of the defect below this count as zero for the rank report.
 DEFECT_RANK_TOL = 1e-10
@@ -52,10 +52,7 @@ def bunce_dilate(t: MatrixTuple, depth: int, tol: float = 1e-8,
     the word space itself.
     """
     n, p = t.n, t.p
-    size = fock_dim(n, depth) * p
-    if size > cap:
-        from .errors import CapacityError
-        raise CapacityError(f"dilation size {size} exceeds cap {cap}")
+    check_capacity(t, depth, cap)
     row = np.hstack(t.a)
     gram = hermitize(row.conj().T @ row, "gram")
     w, u = np.linalg.eigh(np.eye(n * p) - gram)

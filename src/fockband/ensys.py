@@ -25,10 +25,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError, InputError
-from .fock import make_fock, cuntz_isometries
+from .fock import MatrixTuple, make_fock, cuntz_isometries
 from .linalg import as_matrix, hermitize, kron, psd_margin
 from .radius import (CERTIFIED_NO, CERTIFIED_YES, UNDECIDED, ContractionVerdict,
-                     MatrixTuple, is_dual_row_contraction)
+                     is_dual_row_contraction)
 from .shorted import arrowhead_matrix
 
 #: Shift ladder for positivity of dual elements with a general diagonal.

@@ -17,17 +17,5 @@ class DomainError(FockbandError):
     """Input lies outside the mathematical domain of the operation."""
 
 
-class SolveError(FockbandError):
-    """A linear solve was rejected or failed.
-
-    Carries the condition-number estimate that triggered the rejection,
-    when one is available.
-    """
-
-    def __init__(self, message: str, condition: float | None = None):
-        super().__init__(message)
-        self.condition = condition
-
-
 class ConvergenceError(FockbandError):
     """An iterative or truncation-based computation failed to converge."""

@@ -12,6 +12,10 @@ truncation, columns whose image would leave the space (the top level) are
 zero, so each ``S_i`` is an exact 0/1 matrix and the compression of the
 deeper operator.  Products of these matrices are exact in floating point,
 which the relation tests rely on.
+
+A matrix tuple (``MatrixTuple``) supplies the p x p coefficients of the
+band operator; ``check_capacity`` is the one guard on the size
+``fock_dim(n, depth) * p`` of a depth-truncated band.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ from .linalg import as_matrix
 #: Default cap on the truncated dimension.
 DIM_CAP = 200_000
 
+#: Default cap on (word-space dimension) * (coefficient size) for eigenvalue work.
+EIG_CAP = 20_000
+
 
 def fock_dim(n: int, depth: int) -> int:
     """Dimension of the depth-``depth`` truncation on ``n`` letters."""
@@ -37,6 +44,46 @@ def fock_dim(n: int, depth: int) -> int:
     if n == 1:
         return depth + 1
     return (n ** (depth + 1) - 1) // (n - 1)
+
+
+@dataclass(frozen=True)
+class MatrixTuple:
+    """An n-tuple of p x p complex matrices."""
+
+    n: int
+    p: int
+    a: tuple[np.ndarray, ...]
+
+    @staticmethod
+    def from_arrays(arrays) -> "MatrixTuple":
+        mats = tuple(as_matrix(m, f"tuple entry {i + 1}") for i, m in enumerate(arrays))
+        if not mats:
+            raise InputError("matrix tuple must have at least one entry")
+        p = mats[0].shape[0]
+        for i, m in enumerate(mats):
+            if m.shape != (p, p):
+                raise InputError(f"tuple entry {i + 1} has shape {m.shape}, expected ({p}, {p})")
+        return MatrixTuple(n=len(mats), p=p, a=mats)
+
+    def adjoint(self) -> "MatrixTuple":
+        return MatrixTuple(self.n, self.p, tuple(m.conj().T for m in self.a))
+
+    def scale(self, s: complex) -> "MatrixTuple":
+        return MatrixTuple(self.n, self.p, tuple(s * m for m in self.a))
+
+    def row_gram(self) -> np.ndarray:
+        """The Hermitian sum ``sum_i a_i a_i*`` whose norm decides row contractivity."""
+        g = np.zeros((self.p, self.p), dtype=np.complex128)
+        for m in self.a:
+            g += m @ m.conj().T
+        return g
+
+
+def check_capacity(t: MatrixTuple, depth: int, cap: int) -> None:
+    """Refuse a depth-``depth`` truncation of ``t`` larger than ``cap`` rows."""
+    size = fock_dim(t.n, depth) * t.p
+    if size > cap:
+        raise CapacityError(f"truncation size {size} = dim * p exceeds cap {cap}")
 
 
 @dataclass(frozen=True)

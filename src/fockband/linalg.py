@@ -2,13 +2,16 @@
 
 All matrices are numpy arrays with dtype complex128.  Hermitian inputs are
 symmetrized on entry via ``hermitize`` so that eigenvalue routines see an
-exactly Hermitian matrix.  Every positivity decision goes through
-``psd_margin`` which reports the minimal eigenvalue together with the
-tolerance that was used, so callers never compare against an implicit zero.
+exactly Hermitian matrix.  ``psd_margin`` reports the minimal eigenvalue
+together with the tolerance that was used, so callers never compare
+against an implicit zero.
 
 Large sparse operators (scipy.sparse) are accepted by the extremal
 eigenvalue helpers ``lam_min`` / ``lam_max`` and by ``op_norm``, which
-switch to Lanczos iterations above a dense size threshold.
+switch to Lanczos iterations above a dense size threshold.  Band
+operators come here only for their least eigenvalue: band positivity at
+each depth and the vacuum shorts are p x p level recursions in the
+shorted module, which need no solver of the band's size.
 """
 
 from __future__ import annotations
@@ -19,13 +22,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConvergenceError, InputError, SolveError
+from .errors import ConvergenceError, InputError
 
 #: Largest dimension for which extremal eigenvalues are computed densely.
 DENSE_EIG_LIMIT = 1024
-
-#: Condition-number ceiling for the direct solver.
-COND_LIMIT = 1e12
 
 #: Default relative cutoff for pseudo-inverse singular values.
 PINV_CUTOFF = 1e-10
@@ -95,48 +95,6 @@ def psd_margin(h, tol: float | None = None) -> PsdReport:
 def kron(a, b) -> np.ndarray:
     """Kronecker product with block (i, j) equal to ``a[i, j] * b``."""
     return np.kron(as_matrix(a, "kron left factor"), as_matrix(b, "kron right factor"))
-
-
-def solve(a, y, method: str = "direct", cond_limit: float = COND_LIMIT) -> np.ndarray:
-    """Solve ``a @ x = y`` for a square well-conditioned matrix.
-
-    method="direct" uses an LU solve and raises SolveError with the
-    condition estimate when cond(a) exceeds ``cond_limit``.
-
-    method="neumann" sums the series x = sum_k (I - a)^k y, which is the
-    slow but independent route; it requires ||I - a|| < 1 and exists to
-    cross-validate the direct solver on diagonally dominant systems.
-    """
-    a = as_matrix(a, "solve matrix")
-    if a.shape[0] != a.shape[1]:
-        raise InputError(f"solve requires a square matrix, got shape {a.shape}")
-    y = np.asarray(y, dtype=np.complex128)
-    if y.shape[0] != a.shape[0]:
-        raise InputError(f"right-hand side has {y.shape[0]} rows, expected {a.shape[0]}")
-    if method == "direct":
-        cond = float(np.linalg.cond(a)) if a.size else 1.0
-        if not np.isfinite(cond) or cond > cond_limit:
-            raise SolveError(f"matrix condition {cond:.3e} exceeds limit {cond_limit:.1e}", condition=cond)
-        return np.linalg.solve(a, y)
-    if method == "neumann":
-        return _neumann_solve(a, y)
-    raise InputError(f"unknown solve method {method!r}")
-
-
-def _neumann_solve(a: np.ndarray, y: np.ndarray, max_terms: int = 100000) -> np.ndarray:
-    residual_op = np.eye(a.shape[0], dtype=np.complex128) - a
-    rho = op_norm(residual_op)
-    if rho >= 1.0:
-        raise ConvergenceError(f"Neumann series requires ||I - A|| < 1, got {rho:.6f}")
-    x = y.copy()
-    term = y.copy()
-    scale = max(1.0, float(np.linalg.norm(y)))
-    for _ in range(max_terms):
-        term = residual_op @ term
-        x += term
-        if np.linalg.norm(term) <= 1e-16 * scale / max(1e-300, 1.0 - rho):
-            return x
-    raise ConvergenceError(f"Neumann series did not converge in {max_terms} terms (||I - A|| = {rho:.6f})")
 
 
 def pinv(a, cutoff: float = PINV_CUTOFF) -> np.ndarray:

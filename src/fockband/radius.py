@@ -17,7 +17,8 @@ Two predicates return three-valued verdicts:
 
 * ``is_row_contraction``: decided exactly by the norm of sum a_i a_i*.
 * ``is_dual_row_contraction``: positivity of the band operator at every
-  depth.  A negative band eigenvalue at some truncation refutes it; only a
+  depth, scanned by the p x p level recursion of the shorted module.  A
+  band eigenvalue below -tol at some truncation refutes it; only a
   completion certificate (see the shorted module) can confirm it, since
   band positivity at finitely many depths proves nothing about deeper
   truncations.  Anything else stays undecided.
@@ -27,17 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CapacityError, InputError
-from .fock import band_operator_sparse, fock_dim, make_fock
+from .errors import ConvergenceError, DomainError, InputError
+from .fock import EIG_CAP, MatrixTuple, band_operator_sparse, check_capacity, make_fock
 from .linalg import as_matrix, lam_max, lam_min, op_norm
-
-if TYPE_CHECKING:
-    from .shorted import AndoCertificate
+from .shorted import AndoCertificate, ando_complete, first_nonpositive_depth
 
 CERTIFIED_YES = "certified_yes"
 CERTIFIED_NO = "certified_no"
@@ -48,43 +46,6 @@ THETA_POINTS = 720
 
 #: Default deepest truncation tried by the dual predicate.
 MAX_DEPTH = 6
-
-#: Default cap on (word-space dimension) * (coefficient size) for eigenvalue work.
-EIG_CAP = 20_000
-
-
-@dataclass(frozen=True)
-class MatrixTuple:
-    """An n-tuple of p x p complex matrices."""
-
-    n: int
-    p: int
-    a: tuple[np.ndarray, ...]
-
-    @staticmethod
-    def from_arrays(arrays) -> "MatrixTuple":
-        mats = tuple(as_matrix(m, f"tuple entry {i + 1}") for i, m in enumerate(arrays))
-        if not mats:
-            raise InputError("matrix tuple must have at least one entry")
-        p = mats[0].shape[0]
-        for i, m in enumerate(mats):
-            if m.shape != (p, p):
-                raise InputError(f"tuple entry {i + 1} has shape {m.shape}, expected ({p}, {p})")
-        return MatrixTuple(n=len(mats), p=p, a=mats)
-
-    def adjoint(self) -> "MatrixTuple":
-        return MatrixTuple(self.n, self.p, tuple(m.conj().T for m in self.a))
-
-    def scale(self, s: complex) -> "MatrixTuple":
-        return MatrixTuple(self.n, self.p, tuple(s * m for m in self.a))
-
-    def row_gram(self) -> np.ndarray:
-        """The Hermitian sum ``sum_i a_i a_i*`` whose norm decides row contractivity."""
-        g = np.zeros((self.p, self.p), dtype=np.complex128)
-        for m in self.a:
-            g += m @ m.conj().T
-        return g
-
 
 @dataclass(frozen=True)
 class RadiusEstimate:
@@ -108,7 +69,7 @@ class ContractionVerdict:
     status: str
     margin: float
     depth: int | None = None
-    certificate: "AndoCertificate | None" = None
+    certificate: AndoCertificate | None = None
 
 
 def _check_theta_points(theta_points: int) -> None:
@@ -191,14 +152,8 @@ def joint_numerical_radius(t: MatrixTuple, depth: int, theta_points: int = THETA
 
 def _band_min_eig(t: MatrixTuple, depth: int, cap: int) -> float:
     """Least eigenvalue of the band operator of ``t`` at truncation depth ``depth``."""
-    _check_capacity(t, depth, cap)
+    check_capacity(t, depth, cap)
     return float(lam_min(band_operator_sparse(make_fock(t.n, depth), t)))
-
-
-def _check_capacity(t: MatrixTuple, depth: int, cap: int) -> None:
-    size = fock_dim(t.n, depth) * t.p
-    if size > cap:
-        raise CapacityError(f"truncation size {size} = dim * p exceeds cap {cap}")
 
 
 def is_row_contraction(t: MatrixTuple, tol: float = 1e-8) -> ContractionVerdict:
@@ -217,24 +172,25 @@ def is_dual_row_contraction(t: MatrixTuple, max_depth: int = MAX_DEPTH, tol: flo
                             cap: int = EIG_CAP) -> ContractionVerdict:
     """Three-valued band positivity check across truncation depths.
 
-    Sweeps depths 0..max_depth.  A band eigenvalue below ``-tol`` refutes
-    the claim at that depth (compressions of a positive operator stay
-    positive, so the refutation is sound for the untruncated statement).
-    If no depth refutes, a completion certificate is attempted at the
-    deepest truncation; only a strictly valid certificate upgrades the
-    verdict to certified_yes.
+    One pass of the p x p level recursion (see the shorted module) at shift
+    ``-tol`` finds the first depth d* <= max_depth at which some band
+    eigenvalue is at most ``-tol``.  Band eigenvalues are then computed from
+    d* upwards (or at max_depth alone when there is no such depth), and one
+    below ``-tol`` refutes the claim at that depth (compressions of a
+    positive operator stay positive, so the refutation is sound for the
+    untruncated statement).  If no depth refutes, a completion certificate
+    is attempted at the deepest truncation; only a strictly valid
+    certificate upgrades the verdict to certified_yes.
     """
-    _check_capacity(t, max_depth, cap)
-    margin = 1.0
-    for d in range(max_depth + 1):
+    check_capacity(t, max_depth, cap)
+    first_bad = first_nonpositive_depth(t, max_depth, shift=-tol)
+    for d in range(max_depth if first_bad is None else first_bad, max_depth + 1):
         margin = _band_min_eig(t, d, cap)
         if margin < -tol:
             return ContractionVerdict(status=CERTIFIED_NO, margin=float(margin), depth=d)
-    from .shorted import ando_complete  # deferred to avoid an import cycle
-    from .errors import ConvergenceError, DomainError, SolveError
     try:
         cert = ando_complete(t, depth=max_depth, tol=tol, cap=cap)
-    except (ConvergenceError, DomainError, SolveError):
+    except (ConvergenceError, DomainError):
         cert = None
     if cert is not None and cert.strictly_valid(tol):
         return ContractionVerdict(status=CERTIFIED_YES, margin=float(margin),

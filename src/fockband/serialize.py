@@ -21,7 +21,8 @@ import numpy as np
 from .errors import InputError
 from .ensys import (DualElement, DualMap, EnDecomposition, EnElement, dual_element,
                     dual_map, en_element)
-from .radius import ContractionVerdict, MatrixTuple, RadiusEstimate
+from .fock import MatrixTuple
+from .radius import ContractionVerdict, RadiusEstimate
 from .shorted import AndoCertificate, arrowhead_matrix
 
 

@@ -7,6 +7,17 @@ For finite matrices it is the (generalized) Schur complement
 quadratic form of the short at x is the infimum of the full form over all
 tail completions y, attained at ``y* = -A22^+ A21 x``.
 
+The truncated band operator is an n-ary tree of identical p x p levels,
+so its block LDL* taken from the leaves up has one pivot per level:
+
+    X_0 = (1 - mu) I,    X_{k+1} = (1 - mu) I - sum_i a_i X_k^{-1} a_i*
+
+for the shifted band ``band_d - mu I``.  By Sylvester that operator is
+positive definite exactly when X_0..X_d are, and its short onto the
+vacuum block is X_d.  Per-depth positivity and every vacuum short below
+run through this recursion in p x p arithmetic; the band itself is built
+only for its least eigenvalue.
+
 Completion turns that machinery into a positivity certificate for a
 matrix tuple.  Short the epsilon-shrunk truncated band operator onto the
 vacuum block to get b, set a = 1 - b, and assemble the arrowhead
@@ -23,16 +34,15 @@ finite and re-checkable by a single eigensolve.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, DomainError, InputError
-from .fock import band_operator_sparse, fock_dim, make_fock
-from .linalg import PINV_CUTOFF, as_matrix, hermitize, lam_min, op_norm, pinv, psd_margin
-from .radius import EIG_CAP, MatrixTuple
+from .fock import EIG_CAP, MatrixTuple, band_operator_sparse, check_capacity, make_fock
+from .linalg import PINV_CUTOFF, as_matrix, hermitize, lam_min, pinv, psd_margin
 
 
 @dataclass(frozen=True)
@@ -177,22 +187,6 @@ def arrowhead_matrix(a0: np.ndarray, arms, diag: np.ndarray) -> np.ndarray:
     return out
 
 
-def _short_vacuum(band: sp.spmatrix, p: int) -> np.ndarray:
-    """Schur complement of a truncated band operator onto the vacuum block."""
-    a = band.tocsc()
-    a11 = a[:p, :p].toarray()
-    a12 = a[:p, p:].toarray()
-    a21 = a[p:, :p].toarray()
-    a22 = a[p:, p:].tocsc()
-    try:
-        x = spla.splu(a22).solve(a21)
-    except RuntimeError as exc:
-        if a22.shape[0] > 4096:
-            raise ConvergenceError(f"tail solve failed on block of size {a22.shape[0]}: {exc}")
-        x = pinv(a22.toarray()) @ a21
-    return hermitize(a11 - a12 @ x, "short")
-
-
 #: Iteration budget for the deep peeling continuation of ando_complete.
 PEEL_BUDGET = 200_000
 
@@ -214,6 +208,40 @@ def _peel_step(x: np.ndarray, base: np.ndarray, arms: tuple[np.ndarray, ...],
     return 0.5 * (out + out.conj().T)
 
 
+def _level_pivots(t: MatrixTuple, shift: float = 0.0) -> Iterator[np.ndarray]:
+    """Yield the pivots X_0, X_1, .. of ``band - shift * I``, leaves up.
+
+    A pivot is yielded once the step past it has factored it, so every
+    yielded X_k is positive definite; the iteration stops at the first
+    pivot that is not.
+    """
+    base = (1.0 - shift) * np.eye(t.p, dtype=np.complex128)
+    stacked_adj = np.hstack([m.conj().T for m in t.a])
+    x = base
+    while True:
+        try:
+            after = _peel_step(x, base, t.a, stacked_adj)
+        except np.linalg.LinAlgError:
+            return
+        yield x
+        x = after
+
+
+def _pivots_to(t: MatrixTuple, depth: int, shift: float = 0.0) -> list[np.ndarray]:
+    """X_0..X_depth; DomainError unless ``band_depth - shift * I`` is positive definite."""
+    pivots = list(islice(_level_pivots(t, shift), depth + 1))
+    if len(pivots) <= depth:
+        raise DomainError(f"band operator is not positive definite at depth {len(pivots)} "
+                          f"(shift {shift:.3e})")
+    return pivots
+
+
+def first_nonpositive_depth(t: MatrixTuple, max_depth: int, shift: float = 0.0) -> int | None:
+    """Least d <= max_depth with ``band_d - shift * I`` not positive definite, else None."""
+    count = sum(1 for _ in islice(_level_pivots(t, shift), max_depth + 1))
+    return count if count <= max_depth else None
+
+
 def _arrowhead_margin(a0: np.ndarray, arms, diag: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(arrowhead_matrix(a0, arms, diag))[0])
 
@@ -222,28 +250,23 @@ def ando_complete(t: MatrixTuple, depth: int = 6, epsilon: float | None = None,
                   tol: float = 1e-8, cap: int = EIG_CAP) -> AndoCertificate:
     """Completion certificate for a dual row contraction.
 
-    Shorts the epsilon-shrunk depth-``depth`` band operator onto the
-    vacuum block, takes b as that short and a = 1 - b, and returns the
-    arrowhead together with its eigenvalue margin.  ``epsilon`` defaults
-    to half the measured truncation margin; it must stay below the margin
-    so the shrunk band remains positive.
+    Takes b as the short of the epsilon-shrunk depth-``depth`` band
+    operator onto the vacuum block, which is the level pivot X_depth at
+    shift epsilon, sets a = 1 - b, and returns the arrowhead together with
+    its eigenvalue margin.  The band is built once, for its least
+    eigenvalue: ``epsilon`` defaults to half that truncation margin and
+    must stay below it so the shrunk band remains positive.
 
     Boundary tuples defeat any fixed shallow truncation: their only valid
-    pair sits at the fixed point of the level-peeling recursion, which
-    the depth-L short reaches only as L grows.  Since that short equals
-    the L-th recursion iterate exactly, the automatic-epsilon path keeps
-    iterating in p x p arithmetic with the shift removed until the
-    arrowhead margin clears -tol, the recursion refutes band positivity,
-    or the budget runs out.  An explicit epsilon is honored literally and
-    never extended.
+    pair sits at the fixed point of the level recursion, which the
+    depth-L short reaches only as L grows.  The automatic-epsilon path
+    therefore keeps iterating with the shift removed until the arrowhead
+    margin clears -tol, the recursion refutes band positivity, or the
+    budget runs out.  An explicit epsilon is honored literally and never
+    extended.
     """
-    size = fock_dim(t.n, depth) * t.p
-    if size > cap:
-        from .errors import CapacityError
-        raise CapacityError(f"truncation size {size} = dim * p exceeds cap {cap}")
-    f = make_fock(t.n, depth)
-    band = band_operator_sparse(f, t)
-    band_margin = lam_min(band)
+    check_capacity(t, depth, cap)
+    band_margin = lam_min(band_operator_sparse(make_fock(t.n, depth), t))
     if band_margin <= tol:
         raise DomainError(
             f"band operator not strictly positive at depth {depth} "
@@ -255,15 +278,8 @@ def ando_complete(t: MatrixTuple, depth: int = 6, epsilon: float | None = None,
         raise DomainError(
             f"epsilon must lie in (0, {band_margin:.3e}), got {epsilon:.3e}")
 
-    shrunk = (band - epsilon * sp.identity(band.shape[0], format="csr")).tocsr()
     p = t.p
-    tail = shrunk[p:, p:]
-    tail_gap = op_norm(sp.identity(tail.shape[0], format="csr") - tail)
-    if tail_gap >= 1.0:
-        raise ConvergenceError(
-            f"tail block drifts from the identity by {tail_gap:.6f} >= 1; "
-            f"tuple too close to the boundary for epsilon={epsilon:.3e} at depth {depth}")
-    b = _short_vacuum(shrunk, p)
+    b = _pivots_to(t, depth, shift=epsilon)[-1]
     margin = _arrowhead_margin(np.eye(p) - b, t.a, b)
     depth_used = depth
     epsilon_used = float(epsilon)
@@ -277,31 +293,24 @@ def ando_complete(t: MatrixTuple, depth: int = 6, epsilon: float | None = None,
 
 
 def _peel_to_margin(t: MatrixTuple, tol: float, start_depth: int) -> tuple[np.ndarray, float, int]:
-    """Run the shift-free peeling recursion until the arrowhead margin clears -tol."""
-    p = t.p
-    base = np.eye(p, dtype=np.complex128)
-    stacked_adj = np.hstack([m.conj().T for m in t.a])
-    x = base.copy()
-    step = 0
+    """Run the shift-free level recursion until the arrowhead margin clears -tol."""
+    base = np.eye(t.p, dtype=np.complex128)
     checkpoint = max(16, start_depth)
     best = -np.inf
-    while step < PEEL_BUDGET:
-        try:
-            x = _peel_step(x, base, t.a, stacked_adj)
-        except np.linalg.LinAlgError:
-            raise DomainError(
-                f"band operator is not positive definite at depth {step + 1}; "
-                "no strict completion exists")
-        step += 1
-        if step >= checkpoint:
+    for depth, x in enumerate(_level_pivots(t)):
+        if depth >= checkpoint:
             margin = _arrowhead_margin(base - x, t.a, x)
             best = max(best, margin)
             if margin >= -tol:
-                return x, margin, step
+                return x, margin, depth
             checkpoint *= 2
-    raise ConvergenceError(
-        f"arrowhead margin still {best:.3e} after {PEEL_BUDGET} peeling steps; "
-        "tuple sits too close to the boundary for this tolerance")
+        if depth >= PEEL_BUDGET:
+            raise ConvergenceError(
+                f"arrowhead margin still {best:.3e} after {PEEL_BUDGET} peeling steps; "
+                "tuple sits too close to the boundary for this tolerance")
+    raise DomainError(
+        f"band operator is not positive definite at depth {depth + 1}; "
+        "no strict completion exists")
 
 
 @dataclass(frozen=True)
@@ -317,27 +326,17 @@ class SelfSimilarityReport:
         return self.drifts[-1] if self.drifts else 0.0
 
 
-def self_similarity_check(t: MatrixTuple, depth: int, tol: float = 1e-8,
+def self_similarity_check(t: MatrixTuple, depth: int,
                           cap: int = EIG_CAP) -> SelfSimilarityReport:
     """Track how the vacuum-block short stabilizes as the truncation deepens.
 
     The tail of the band operator repeats the band one level down, so the
-    depth-L short should converge; the report carries the successive
-    differences rather than asserting any rate.
+    depth-L short is the level pivot X_L and should converge; the report
+    carries the successive differences rather than asserting any rate.
+    No band is built: DomainError is raised unless the band operator is
+    positive definite at depth ``depth``.
     """
-    size = fock_dim(t.n, depth) * t.p
-    if size > cap:
-        from .errors import CapacityError
-        raise CapacityError(f"truncation size {size} = dim * p exceeds cap {cap}")
-    shorts: list[np.ndarray] = []
-    drifts: list[float] = []
-    depths = tuple(range(1, depth + 1))
-    for d in depths:
-        f = make_fock(t.n, d)
-        band = band_operator_sparse(f, t)
-        if lam_min(band) < -tol:
-            raise DomainError(f"band operator not positive at depth {d}")
-        shorts.append(_short_vacuum(band, t.p))
-        if len(shorts) > 1:
-            drifts.append(float(np.linalg.norm(shorts[-1] - shorts[-2], 2)))
-    return SelfSimilarityReport(depths=depths, shorts=tuple(shorts), drifts=tuple(drifts))
+    check_capacity(t, depth, cap)
+    shorts = tuple(_pivots_to(t, depth)[1:])
+    drifts = tuple(float(np.linalg.norm(b - a, 2)) for a, b in zip(shorts, shorts[1:]))
+    return SelfSimilarityReport(depths=tuple(range(1, depth + 1)), shorts=shorts, drifts=drifts)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fockband import (ConvergenceError, InputError, SolveError, herm_eig, hermitize,
-                      kron, lam_max, lam_min, op_norm, pinv, psd_margin, solve)
+from fockband import (InputError, herm_eig, hermitize, kron, lam_max, lam_min, op_norm,
+                      pinv, psd_margin)
 from fockband.linalg import as_matrix
 
 from support import random_psd
@@ -87,31 +87,6 @@ def test_op_norm_sparse_matches_dense(rng):
     a = rng.standard_normal((40, 40))
     assert op_norm(sp.csr_matrix(a)) == pytest.approx(op_norm(a), abs=1e-9)
     assert op_norm(sp.csr_matrix((5, 5))) == 0.0
-
-
-def test_solve_direct():
-    a = np.array([[2.0, 1.0], [1.0, 1.0]])
-    y = np.array([1.0, 0.0])
-    x = solve(a, y)
-    assert np.allclose(a @ x, y, atol=1e-12)
-
-
-def test_solve_flags_ill_conditioned():
-    a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
-    with pytest.raises(SolveError) as exc:
-        solve(a, np.array([1.0, 0.0]))
-    assert exc.value.condition is None or exc.value.condition > 1e12
-
-
-def test_solve_neumann_matches_direct(rng):
-    a = np.eye(4) + 0.2 * rng.standard_normal((4, 4))
-    y = rng.standard_normal(4)
-    assert np.allclose(solve(a, y, method="neumann"), solve(a, y), atol=1e-9)
-
-
-def test_solve_neumann_requires_contraction():
-    with pytest.raises(ConvergenceError):
-        solve(3.0 * np.eye(2), np.ones(2), method="neumann")
 
 
 def test_pinv_known_values():

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fockband.shorted as shorted_mod
 from fockband import (AndoCertificate, BlockSplit, ConvergenceError,
                       DomainError, InputError, MatrixTuple, ando_complete,
-                      arrowhead_matrix, block_split, psd_margin,
+                      arrowhead_matrix, block_split, lam_min, psd_margin,
                       self_similarity_check, short, variational_check)
-from fockband.fock import band_operator_sparse, make_fock
-from fockband.shorted import _peel_step, _short_vacuum
+from fockband.fock import band_operator_sparse, fock_dim, make_fock
+from fockband.shorted import _peel_step, _pivots_to, first_nonpositive_depth
 
 from support import random_psd, random_tuple
 
@@ -192,6 +194,13 @@ class TestAndoComplete:
             ando_complete(scalars(0.3, 0.4))
 
 
+def dense_vacuum_short(band: np.ndarray, p: int) -> np.ndarray:
+    """Schur complement of a dense band onto its leading p x p (vacuum) block."""
+    if band.shape[0] == p:
+        return band
+    return band[:p, :p] - band[:p, p:] @ np.linalg.solve(band[p:, p:], band[p:, :p])
+
+
 def test_peel_matches_global_short(rng):
     t = random_tuple(rng, 2, 2, scale=0.2)
     p = t.p
@@ -200,9 +209,27 @@ def test_peel_matches_global_short(rng):
     x = base.copy()
     for depth in range(1, 6):
         x = _peel_step(x, base, t.a, stacked)
-        band = band_operator_sparse(make_fock(t.n, depth), t)
-        b = _short_vacuum(band, p)
+        band = band_operator_sparse(make_fock(t.n, depth), t).toarray()
+        b = dense_vacuum_short(band, p)
         assert np.linalg.norm(x - b, 2) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), p=st.integers(1, 3), depth=st.integers(0, 5),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 0.6),
+       mu=st.floats(-0.5, 0.9))
+def test_level_recursion_matches_dense_band(n, p, depth, seed, scale, mu):
+    """Pivot positivity and vacuum short of band_d - mu*I against the dense band."""
+    t = random_tuple(np.random.default_rng(seed), n, p, scale=scale)
+    band = band_operator_sparse(make_fock(n, depth), t).toarray()
+    mins = [lam_min(band[:k, :k]) for k in (fock_dim(n, d) * p for d in range(depth + 1))]
+    assume(all(abs(m - mu) >= 1e-9 for m in mins))
+    expected = next((d for d, m in enumerate(mins) if m < mu), None)
+    assert first_nonpositive_depth(t, depth, shift=mu) == expected
+    if expected is None:
+        vacuum = _pivots_to(t, depth, shift=mu)[-1]
+        shifted = band - mu * np.eye(band.shape[0])
+        assert np.linalg.norm(vacuum - dense_vacuum_short(shifted, p), 2) <= 1e-12
 
 
 class TestSelfSimilarity:
