@@ -42,11 +42,10 @@ class RunConfig:
     theta_points: int = 720
     epsilon: float | None = None
     cap: int = 20_000
-    seed: int = 0
 
 
 _CONFIG_CASTS = {"tol": float, "max_depth": int, "theta_points": int,
-                 "epsilon": float, "cap": int, "seed": int}
+                 "epsilon": float, "cap": int}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -262,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--theta-points", dest="theta_points", type=int, default=None)
     common.add_argument("--epsilon", type=float, default=None)
     common.add_argument("--cap", type=int, default=None)
-    common.add_argument("--seed", type=int, default=None)
 
     parser = argparse.ArgumentParser(
         prog="fockband",

@@ -89,15 +89,10 @@ def image_operator(img: PhiImage, depth: int) -> sp.csr_matrix:
     n = len(img.s)
     f = make_fock(n, depth)
     iso = cuntz_isometries(f)
-    p = img.unit.shape[0]
-    out = kron_sparse(sp.identity(f.dim, format="csr"), img.unit)
+    out = sp.kron(sp.identity(f.dim, format="csr"), img.unit, format="csr")
     for s_i, c, d in zip(iso.ops, img.s, img.s_adj):
-        out = out + kron_sparse(s_i, c) + kron_sparse(s_i.T, d)
+        out = out + sp.kron(s_i, c, format="csr") + sp.kron(s_i.T, d, format="csr")
     return out.tocsr()
-
-
-def kron_sparse(a, b) -> sp.csr_matrix:
-    return sp.kron(a, b, format="csr")
 
 
 def kernel_membership(e: EnElement, tol: float = 1e-8) -> bool:

@@ -14,8 +14,8 @@ deeper operator.  Products of these matrices are exact in floating point,
 which the relation tests rely on.
 
 A matrix tuple (``MatrixTuple``) supplies the p x p coefficients of the
-band operator; ``check_capacity`` is the one guard on the size
-``fock_dim(n, depth) * p`` of a depth-truncated band.
+band operator, whose assemblies here are the reference for tests;
+``check_capacity`` guards the size ``fock_dim(n, depth) * p`` of a truncation.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .linalg import as_matrix
 #: Default cap on the truncated dimension.
 DIM_CAP = 200_000
 
-#: Default cap on (word-space dimension) * (coefficient size) for eigenvalue work.
+#: Default cap on a truncation's size (word-space dimension) * p; no band of it is built.
 EIG_CAP = 20_000
 
 
@@ -165,12 +165,13 @@ def band_operator(f: TruncatedFock, arms) -> np.ndarray:
     The coefficient block at position (k, k n + j) is ``a_j`` and its
     adjoint sits at the mirrored position, so the matrix is Hermitian by
     construction.  The word-space factor is the first Kronecker leg.
+    Reference assembly for tests; the package uses the p x p level recursion.
     """
     return band_operator_sparse(f, arms).toarray()
 
 
 def band_operator_sparse(f: TruncatedFock, arms) -> sp.csr_matrix:
-    """Sparse version of ``band_operator`` for large truncations."""
+    """Sparse version of ``band_operator``; reference assembly for tests."""
     mats = _coerce_arms(arms, f.n)
     p = mats[0].shape[0]
     iso = cuntz_isometries(f)

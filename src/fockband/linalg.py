@@ -6,12 +6,10 @@ exactly Hermitian matrix.  ``psd_margin`` reports the minimal eigenvalue
 together with the tolerance that was used, so callers never compare
 against an implicit zero.
 
-Large sparse operators (scipy.sparse) are accepted by the extremal
-eigenvalue helpers ``lam_min`` / ``lam_max`` and by ``op_norm``, which
-switch to Lanczos iterations above a dense size threshold.  Band
-operators come here only for their least eigenvalue: band positivity at
-each depth and the vacuum shorts are p x p level recursions in the
-shorted module, which need no solver of the band's size.
+scipy.sparse input is converted to a dense array once, in ``as_matrix``,
+so every helper here runs dense LAPACK.  No band operator comes here:
+its positivity, vacuum shorts and least eigenvalue are p x p level
+recursions in the shorted module.
 """
 
 from __future__ import annotations
@@ -20,23 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .errors import ConvergenceError, InputError
-
-#: Largest dimension for which extremal eigenvalues are computed densely.
-DENSE_EIG_LIMIT = 1024
+from .errors import InputError
 
 #: Default relative cutoff for pseudo-inverse singular values.
 PINV_CUTOFF = 1e-10
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and convert input to a 2d complex128 array.
+    """Validate and convert input (scipy.sparse included) to a 2d complex128 array.
 
     Raises InputError on non-2d shapes or non-finite entries.
     """
-    m = np.asarray(a, dtype=np.complex128)
+    m = np.asarray(a.toarray() if sp.issparse(a) else a, dtype=np.complex128)
     if m.ndim != 2:
         raise InputError(f"{name} must be 2-dimensional, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
@@ -104,64 +98,15 @@ def pinv(a, cutoff: float = PINV_CUTOFF) -> np.ndarray:
 
 
 def op_norm(a) -> float:
-    """Operator (spectral) norm; accepts dense arrays and sparse matrices."""
-    if sp.issparse(a):
-        n = min(a.shape)
-        if a.nnz == 0:
-            return 0.0
-        if n <= DENSE_EIG_LIMIT:
-            return float(np.linalg.norm(a.toarray(), 2))
-        try:
-            s = spla.svds(a.astype(np.complex128), k=1, return_singular_vectors=False,
-                          v0=_start_vector(a.shape[1]))
-            return float(s[0])
-        except spla.ArpackError:
-            if max(a.shape) <= 4 * DENSE_EIG_LIMIT:
-                return float(np.linalg.norm(a.toarray(), 2))
-            raise ConvergenceError("singular value iteration failed for op_norm")
+    """Operator (spectral) norm."""
     a = as_matrix(a, "op_norm matrix")
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
 
 
-def _start_vector(n: int) -> np.ndarray:
-    # Fixed start vector keeps iterative eigensolvers bit-reproducible.
-    v = np.cos(np.arange(n) + 1.0)
-    return v / np.linalg.norm(v)
-
-
-def _lanczos_top(h, start: np.ndarray) -> float:
-    """Top eigenvalue of a large sparse Hermitian operator.
-
-    A failed default Lanczos run is retried once with a larger subspace;
-    a still-failing problem of moderate size falls back to the dense
-    solver rather than surfacing solver internals to the caller.
-    """
-    n = h.shape[0]
-    last: Exception | None = None
-    for ncv in (None, min(64, n - 1)):
-        try:
-            w, _ = spla.eigsh(h, k=1, which="LA", v0=start, ncv=ncv)
-            return float(w[0])
-        except spla.ArpackNoConvergence as exc:
-            if len(exc.eigenvalues):
-                return float(np.max(exc.eigenvalues))
-            last = exc
-        except spla.ArpackError as exc:
-            last = exc
-    if n <= 4 * DENSE_EIG_LIMIT:
-        return float(np.linalg.eigvalsh(hermitize(h.toarray()))[-1])
-    raise ConvergenceError("Lanczos iteration failed to converge for lam_max") from last
-
-
 def lam_max(h) -> float:
-    """Largest eigenvalue of a Hermitian operator, dense or sparse."""
-    if sp.issparse(h):
-        n = h.shape[0]
-        if n <= DENSE_EIG_LIMIT:
-            return float(np.linalg.eigvalsh(hermitize(h.toarray()))[-1])
-        return _lanczos_top(h, _start_vector(n))
+    """Largest eigenvalue of a Hermitian operator."""
     h = hermitize(h)
     if h.shape[0] == 0:
         raise InputError("lam_max of an empty matrix")
@@ -169,9 +114,7 @@ def lam_max(h) -> float:
 
 
 def lam_min(h) -> float:
-    """Smallest eigenvalue of a Hermitian operator, dense or sparse."""
-    if sp.issparse(h):
-        return -lam_max(-h)
+    """Smallest eigenvalue of a Hermitian operator."""
     h = hermitize(h)
     if h.shape[0] == 0:
         raise InputError("lam_min of an empty matrix")

@@ -14,9 +14,10 @@ so its block LDL* taken from the leaves up has one pivot per level:
 
 for the shifted band ``band_d - mu I``.  By Sylvester that operator is
 positive definite exactly when X_0..X_d are, and its short onto the
-vacuum block is X_d.  Per-depth positivity and every vacuum short below
-run through this recursion in p x p arithmetic; the band itself is built
-only for its least eigenvalue.
+vacuum block is X_d.  Per-depth positivity, every vacuum short below and
+the band's least eigenvalue (the root of lam_min(X_d(mu)), found by
+Newton) run through this recursion in p x p arithmetic; the band itself
+is never built.
 
 Completion turns that machinery into a positivity certificate for a
 matrix tuple.  Short the epsilon-shrunk truncated band operator onto the
@@ -34,6 +35,7 @@ finite and re-checkable by a single eigensolve.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
@@ -41,8 +43,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InputError
-from .fock import EIG_CAP, MatrixTuple, band_operator_sparse, check_capacity, make_fock
-from .linalg import PINV_CUTOFF, as_matrix, hermitize, lam_min, pinv, psd_margin
+from .fock import EIG_CAP, MatrixTuple, check_capacity
+from .linalg import PINV_CUTOFF, as_matrix, hermitize, pinv, psd_margin
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ class AndoCertificate:
         return a_min > 0.0 and b_min > 0.0
 
 
-def short(split: BlockSplit, cutoff: float = PINV_CUTOFF, tol: float = 1e-8) -> ShortResult:
+def short(split: BlockSplit, cutoff: float = PINV_CUTOFF) -> ShortResult:
     """Shorted operator of a psd matrix onto its leading block."""
     a = split.matrix
     report = psd_margin(a)
@@ -140,7 +142,7 @@ class VariationalReport:
 
 def variational_check(split: BlockSplit, x, trials: int = 200,
                       rng: np.random.Generator | None = None,
-                      cutoff: float = PINV_CUTOFF, tol: float = 1e-8) -> VariationalReport:
+                      cutoff: float = PINV_CUTOFF) -> VariationalReport:
     """Check <short(A) x, x> = inf_y <A (x, y), (x, y)> with its closed-form minimizer."""
     a = split.matrix
     k = split.cut
@@ -149,7 +151,7 @@ def variational_check(split: BlockSplit, x, trials: int = 200,
         raise InputError(f"x must have length {k}, got {x.shape[0]}")
     if rng is None:
         rng = np.random.default_rng(0)
-    s = short(split, cutoff=cutoff, tol=tol).shorted
+    s = short(split, cutoff=cutoff).shorted
     short_value = float(np.real(np.vdot(x, s @ x)))
 
     a21 = a[k:, :k]
@@ -190,22 +192,31 @@ def arrowhead_matrix(a0: np.ndarray, arms, diag: np.ndarray) -> np.ndarray:
 #: Iteration budget for the deep peeling continuation of ando_complete.
 PEEL_BUDGET = 200_000
 
+#: Pass budget of the safeguarded Newton iteration of band_min_eig.
+NEWTON_BUDGET = 200
 
-def _peel_step(x: np.ndarray, base: np.ndarray, arms: tuple[np.ndarray, ...],
-               stacked_adj: np.ndarray) -> np.ndarray:
-    """One level of bottom-up elimination: x -> base - sum a_i x^{-1} a_i*.
 
-    Raises LinAlgError when x stops being positive definite, which is
-    exactly the event that the band operator at the current depth has a
-    nonpositive pivot.
+def _row_and_adjoints(t: MatrixTuple) -> tuple[np.ndarray, np.ndarray]:
+    """The p x np rows [a_1 .. a_n] and [a_1* .. a_n*] that one level step multiplies."""
+    return np.hstack(t.a), np.hstack([m.conj().T for m in t.a])
+
+
+def _level_step(x: np.ndarray, base: np.ndarray, row: np.ndarray, adj: np.ndarray,
+                dx: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """One level of bottom-up elimination: X -> base - sum a_i X^{-1} a_i*.
+
+    Given ``dx`` = dX/dmu, the next level's -I + sum_i C_i* dX C_i with
+    C_i = X^{-1} a_i* comes along.  Raises LinAlgError when X is not
+    positive definite: the band at the current depth has a nonpositive pivot.
     """
-    chol = np.linalg.cholesky(x)
-    cols = np.linalg.solve(chol.conj().T, np.linalg.solve(chol, stacked_adj))
-    p = base.shape[0]
-    out = base.copy()
-    for i, m in enumerate(arms):
-        out -= m @ cols[:, i * p:(i + 1) * p]
-    return 0.5 * (out + out.conj().T)
+    np.linalg.cholesky(x)
+    p = x.shape[0]
+    c = np.linalg.solve(x, adj).reshape(p, -1, p).swapaxes(0, 1)
+    stacked = c.reshape(-1, p)
+    out = base - row @ stacked
+    if dx is not None:
+        dx = stacked.conj().T @ (dx @ c).reshape(-1, p) - np.eye(p)
+    return 0.5 * (out + out.conj().T), dx
 
 
 def _level_pivots(t: MatrixTuple, shift: float = 0.0) -> Iterator[np.ndarray]:
@@ -216,15 +227,70 @@ def _level_pivots(t: MatrixTuple, shift: float = 0.0) -> Iterator[np.ndarray]:
     pivot that is not.
     """
     base = (1.0 - shift) * np.eye(t.p, dtype=np.complex128)
-    stacked_adj = np.hstack([m.conj().T for m in t.a])
+    row, adj = _row_and_adjoints(t)
     x = base
     while True:
         try:
-            after = _peel_step(x, base, t.a, stacked_adj)
+            after, _ = _level_step(x, base, row, adj)
         except np.linalg.LinAlgError:
             return
         yield x
         x = after
+
+
+def _newton_pass(t: MatrixTuple, depth: int, mu: float, row: np.ndarray,
+                 adj: np.ndarray) -> tuple[float, float]:
+    """f(mu) = lam_min(X_depth(mu)) and a slope of f there.
+
+    Raises LinAlgError when mu lies past the pole lam_min(band_{depth-1}) of f.
+    """
+    base = (1.0 - mu) * np.eye(t.p, dtype=np.complex128)
+    x, dx = base, -np.eye(t.p)
+    for _ in range(depth):
+        x, dx = _level_step(x, base, row, adj, dx)
+    w, v = np.linalg.eigh(x)
+    return float(w[0]), float(np.real(np.vdot(v[:, 0], dx @ v[:, 0])))
+
+
+def band_min_eig(t: MatrixTuple, depth: int) -> float:
+    """Least eigenvalue of the band operator of ``t`` at truncation depth ``depth``.
+
+    It is the root of f(mu) = lam_min(X_depth(mu)).  Below its pole f is
+    concave with slope <= -1, so Newton from the left lands right of the
+    root and then decreases monotonically to it; an iterate past the pole
+    becomes the bracket's upper end and the next one bisects.  With
+    r = ||sum a_i a_i*||^(1/2) the bracket is [1 - 2 r cos(pi/(depth+2)), 1 - r]:
+    the coupling operator has norm r and vanishes at power depth + 1, so its
+    numerical radius is at most r cos(pi/(depth+2)) (Haagerup-de la Harpe),
+    and 1 - r is lam_min(band_1).  The lower end is exact for scalar tuples.
+    """
+    r = math.sqrt(max(0.0, float(np.linalg.eigvalsh(t.row_gram())[-1])))
+    if depth == 0 or r == 0.0:
+        return 1.0
+    row, adj = _row_and_adjoints(t)
+    lo, hi = 1.0 - 2.0 * r * math.cos(math.pi / (depth + 2)), 1.0 - r
+    # Resolution of mu and of the shifted diagonal 1 - mu on the bracket.
+    tol = 4.0 * np.finfo(float).eps * max(1.0, r)
+    mu, newton = lo, False
+    for _ in range(NEWTON_BUDGET):
+        try:
+            f, slope = _newton_pass(t, depth, mu, row, adj)
+        except np.linalg.LinAlgError:
+            hi = mu
+        else:
+            nxt = mu - f / slope
+            # A Newton iterate lies right of the root, so f >= 0 there is rounding.
+            if abs(nxt - mu) <= tol or (newton and f >= 0.0):
+                return nxt
+            lo, hi = (mu, hi) if f > 0.0 else (lo, mu)
+            if nxt < hi:
+                mu, newton = nxt, True
+                continue
+        mu, newton = 0.5 * (lo + hi), False
+        if hi - lo <= tol:
+            return mu
+    raise ConvergenceError(
+        f"least band eigenvalue at depth {depth} not converged after {NEWTON_BUDGET} passes")
 
 
 def _pivots_to(t: MatrixTuple, depth: int, shift: float = 0.0) -> list[np.ndarray]:
@@ -253,9 +319,9 @@ def ando_complete(t: MatrixTuple, depth: int = 6, epsilon: float | None = None,
     Takes b as the short of the epsilon-shrunk depth-``depth`` band
     operator onto the vacuum block, which is the level pivot X_depth at
     shift epsilon, sets a = 1 - b, and returns the arrowhead together with
-    its eigenvalue margin.  The band is built once, for its least
-    eigenvalue: ``epsilon`` defaults to half that truncation margin and
-    must stay below it so the shrunk band remains positive.
+    its eigenvalue margin.  ``epsilon`` defaults to half the truncation
+    margin (the band's least eigenvalue, from ``band_min_eig``) and must
+    stay below it so the shrunk band remains positive.
 
     Boundary tuples defeat any fixed shallow truncation: their only valid
     pair sits at the fixed point of the level recursion, which the
@@ -266,7 +332,7 @@ def ando_complete(t: MatrixTuple, depth: int = 6, epsilon: float | None = None,
     extended.
     """
     check_capacity(t, depth, cap)
-    band_margin = lam_min(band_operator_sparse(make_fock(t.n, depth), t))
+    band_margin = band_min_eig(t, depth)
     if band_margin <= tol:
         raise DomainError(
             f"band operator not strictly positive at depth {depth} "

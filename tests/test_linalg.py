@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import fockband
 from fockband import (InputError, herm_eig, hermitize, kron, lam_max, lam_min, op_norm,
                       pinv, psd_margin)
 from fockband.linalg import as_matrix
@@ -102,10 +107,10 @@ def test_lam_extremes_dense_vs_sparse(rng):
     assert lam_min(hs) == pytest.approx(lam_min(h), abs=1e-10)
 
 
-def test_lam_max_sparse_is_deterministic(rng):
-    import scipy.sparse as sp
-    h = sp.random(2000, 2000, density=5e-4, random_state=7)
-    h = (h + h.T).tocsr()
-    a = lam_max(h)
-    b = lam_max(h)
-    assert a == b
+def test_import_loads_no_sparse_eigensolver():
+    src = os.path.dirname(os.path.dirname(fockband.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, fockband; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

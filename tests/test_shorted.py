@@ -9,7 +9,8 @@ from fockband import (AndoCertificate, BlockSplit, ConvergenceError,
                       arrowhead_matrix, block_split, lam_min, psd_margin,
                       self_similarity_check, short, variational_check)
 from fockband.fock import band_operator_sparse, fock_dim, make_fock
-from fockband.shorted import _peel_step, _pivots_to, first_nonpositive_depth
+from fockband.shorted import (_level_step, _pivots_to, _row_and_adjoints, band_min_eig,
+                              first_nonpositive_depth)
 
 from support import random_psd, random_tuple
 
@@ -205,10 +206,10 @@ def test_peel_matches_global_short(rng):
     t = random_tuple(rng, 2, 2, scale=0.2)
     p = t.p
     base = np.eye(p, dtype=np.complex128)
-    stacked = np.hstack([m.conj().T for m in t.a])
+    row, adj = _row_and_adjoints(t)
     x = base.copy()
     for depth in range(1, 6):
-        x = _peel_step(x, base, t.a, stacked)
+        x, _ = _level_step(x, base, row, adj)
         band = band_operator_sparse(make_fock(t.n, depth), t).toarray()
         b = dense_vacuum_short(band, p)
         assert np.linalg.norm(x - b, 2) <= 1e-12
@@ -230,6 +231,30 @@ def test_level_recursion_matches_dense_band(n, p, depth, seed, scale, mu):
         vacuum = _pivots_to(t, depth, shift=mu)[-1]
         shifted = band - mu * np.eye(band.shape[0])
         assert np.linalg.norm(vacuum - dense_vacuum_short(shifted, p), 2) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), p=st.integers(1, 3), depth=st.integers(0, 5),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 2.0))
+def test_band_min_eig_matches_dense_band(n, p, depth, seed, scale):
+    """Newton on the level recursion against the dense band's least eigenvalue."""
+    t = random_tuple(np.random.default_rng(seed), n, p, scale=scale)
+    band = band_operator_sparse(make_fock(n, depth), t).toarray()
+    assert band_min_eig(t, depth) == pytest.approx(lam_min(band), abs=1e-12)
+
+
+def test_band_min_eig_exact_and_degenerate_cases(rng):
+    t = random_tuple(rng, 2, 2, scale=0.3)
+    assert band_min_eig(t, 0) == 1.0
+    assert band_min_eig(t.scale(0.0), 4) == 1.0
+    padded = MatrixTuple.from_arrays([np.pad(m, ((0, 1), (0, 1))) for m in t.a])
+    # Nilpotent arms with a_i a_j = 0: lam_min(band_d) = 1 - r at every depth d >= 1,
+    # the upper end of the bracket and, for d >= 2, the pole of the recursion too.
+    nilpotent = MatrixTuple.from_arrays([np.array([[0.0, c], [0.0, 0.0]]) for c in (0.3, 0.4j)])
+    for u in (padded, nilpotent):
+        for depth in range(1, 6):
+            band = band_operator_sparse(make_fock(u.n, depth), u).toarray()
+            assert band_min_eig(u, depth) == pytest.approx(lam_min(band), abs=1e-12)
 
 
 class TestSelfSimilarity:
