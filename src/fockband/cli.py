@@ -6,7 +6,7 @@ report to stdout, and exits with a code mirroring the verdict semantics:
 * 0: certified_yes, or a successful unconditional computation
 * 1: certified_no, or a domain refutation (input fails the predicate)
 * 2: undecided, or the computation could not converge at these settings
-* 3: malformed input or capacity violation
+* 3: malformed input, or a depth past the budget of its verb
 
 Configuration precedence is flags over environment (FOCKBAND_* variables)
 over ``--config`` file over defaults.  The ``verify`` verb re-checks an
@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from . import dilation, ensys, radius, serialize, shorted
-from .errors import CapacityError, ConvergenceError, DomainError, FockbandError, InputError
+from .errors import ConvergenceError, DomainError, FockbandError, InputError
 from .linalg import psd_margin
 
 ENV_PREFIX = "FOCKBAND_"
@@ -41,11 +41,9 @@ class RunConfig:
     max_depth: int = 6
     theta_points: int = 720
     epsilon: float | None = None
-    cap: int = 20_000
 
 
-_CONFIG_CASTS = {"tol": float, "max_depth": int, "theta_points": int,
-                 "epsilon": float, "cap": int}
+_CONFIG_CASTS = {"tol": float, "max_depth": int, "theta_points": int, "epsilon": float}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -94,7 +92,7 @@ def _cmd_check_row(args, cfg: RunConfig) -> tuple[int, dict]:
 
 def _cmd_check_dual_row(args, cfg: RunConfig) -> tuple[int, dict]:
     t = serialize.tuple_from_json(_load_payload(args))
-    v = radius.is_dual_row_contraction(t, max_depth=cfg.max_depth, tol=cfg.tol, cap=cfg.cap)
+    v = radius.is_dual_row_contraction(t, max_depth=cfg.max_depth, tol=cfg.tol)
     return _STATUS_EXIT[v.status], serialize.verdict_to_json(v)
 
 
@@ -107,14 +105,14 @@ def _cmd_radius(args, cfg: RunConfig) -> tuple[int, dict]:
 def _cmd_joint_radius(args, cfg: RunConfig) -> tuple[int, dict]:
     t = serialize.tuple_from_json(_load_payload(args))
     depth = args.depth if args.depth is not None else cfg.max_depth
-    est = radius.joint_numerical_radius(t, depth, theta_points=cfg.theta_points, cap=cfg.cap)
+    est = radius.joint_numerical_radius(t, depth, theta_points=cfg.theta_points)
     return 0, serialize.estimate_to_json(est)
 
 
 def _cmd_ando_complete(args, cfg: RunConfig) -> tuple[int, dict]:
     t = serialize.tuple_from_json(_load_payload(args))
     depth = args.depth if args.depth is not None else cfg.max_depth
-    cert = shorted.ando_complete(t, depth=depth, epsilon=cfg.epsilon, tol=cfg.tol, cap=cfg.cap)
+    cert = shorted.ando_complete(t, depth=depth, epsilon=cfg.epsilon, tol=cfg.tol)
     code = 0 if cert.strictly_valid(cfg.tol) else 2
     return code, serialize.certificate_to_json(cert)
 
@@ -143,7 +141,7 @@ def _cmd_cp_check(args, cfg: RunConfig) -> tuple[int, dict]:
 def _cmd_dilate(args, cfg: RunConfig) -> tuple[int, dict]:
     t = serialize.tuple_from_json(_load_payload(args))
     depth = args.depth if args.depth is not None else 4
-    result = dilation.bunce_dilate(t, depth, tol=cfg.tol, cap=cfg.cap)
+    result = dilation.bunce_dilate(t, depth, tol=cfg.tol)
     report = dilation.verify_dilation(result, t, max_word=args.max_word)
     return 0, {
         "depth": result.depth,
@@ -164,7 +162,7 @@ def _cmd_lift(args, cfg: RunConfig) -> tuple[int, dict]:
         raise InputError(f"malformed quotient description ({exc})")
     t = serialize.tuple_from_json(data["tuple"])
     depth = args.depth if args.depth is not None else 5
-    result = dilation.lift_tuple(q, t, depth, theta_points=cfg.theta_points, cap=cfg.cap)
+    result = dilation.lift_tuple(q, t, depth, theta_points=cfg.theta_points)
     return 0, {
         "depths": list(result.depths),
         "base_lower": [float(x) for x in result.base_lower],
@@ -177,12 +175,11 @@ def _cmd_lift(args, cfg: RunConfig) -> tuple[int, dict]:
 def _cmd_sweep(args, cfg: RunConfig) -> tuple[int, dict]:
     t = serialize.tuple_from_json(_load_payload(args))
     max_depth = args.depth if args.depth is not None else cfg.max_depth
-    depths, lows, mins = [], [], []
-    for d in range(1, max_depth + 1):
-        est = radius.joint_numerical_radius(t, d, theta_points=cfg.theta_points, cap=cfg.cap)
-        depths.append(d)
-        lows.append(est.lower)
-        mins.append(1.0 - 2.0 * est.lower)
+    shorted.check_depth(max_depth, radius.LADDER_BUDGET)
+    depths = list(range(1, max_depth + 1))
+    lows = [radius.joint_numerical_radius(t, d, theta_points=cfg.theta_points).lower
+            for d in depths]
+    mins = [1.0 - 2.0 * lo for lo in lows]
     lines = ["depth,radius_lower,band_min_eig"]
     lines += [f"{d},{lo!r},{mn!r}" for d, lo, mn in zip(depths, lows, mins)]
     csv_text = "\n".join(lines) + "\n"
@@ -260,7 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-depth", dest="max_depth", type=int, default=None)
     common.add_argument("--theta-points", dest="theta_points", type=int, default=None)
     common.add_argument("--epsilon", type=float, default=None)
-    common.add_argument("--cap", type=int, default=None)
 
     parser = argparse.ArgumentParser(
         prog="fockband",
@@ -282,8 +278,6 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         code, report = _COMMANDS[args.verb](args, cfg)
-    except (InputError, CapacityError) as exc:
-        code, report = 3, {"error": type(exc).__name__, "message": str(exc)}
     except DomainError as exc:
         code, report = 1, {"error": "DomainError", "message": str(exc)}
     except ConvergenceError as exc:

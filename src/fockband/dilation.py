@@ -24,12 +24,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError, InputError
-from .fock import EIG_CAP, MatrixTuple, check_capacity, make_fock
+from .fock import MatrixTuple, capped_dim, fock_dim, make_fock
 from .linalg import hermitize
-from .radius import THETA_POINTS, joint_numerical_radius
+from .radius import LADDER_BUDGET, THETA_POINTS, joint_numerical_radius
+from .shorted import check_depth
 
 #: Eigenvalues of the defect below this count as zero for the rank report.
 DEFECT_RANK_TOL = 1e-10
+
+#: Cap on the rows (word-space dimension * p) of a dilation tower.
+DILATION_ROWS = 20_000
 
 
 @dataclass(frozen=True)
@@ -42,8 +46,7 @@ class DilationResult:
     p: int
 
 
-def bunce_dilate(t: MatrixTuple, depth: int, tol: float = 1e-8,
-                 cap: int = EIG_CAP) -> DilationResult:
+def bunce_dilate(t: MatrixTuple, depth: int, tol: float = 1e-8) -> DilationResult:
     """Build the depth-``depth`` dilation tower of a row contraction.
 
     The defect square root D = (I - (row A)*(row A))^{1/2} lives on n
@@ -52,7 +55,9 @@ def bunce_dilate(t: MatrixTuple, depth: int, tol: float = 1e-8,
     the word space itself.
     """
     n, p = t.n, t.p
-    check_capacity(t, depth, cap)
+    if depth < 1:
+        raise InputError(f"dilation depth must be >= 1 (the defect enters at level 1), got {depth}")
+    dim = capped_dim(n, depth, DILATION_ROWS, p) * p
     row = np.hstack(t.a)
     gram = hermitize(row.conj().T @ row, "gram")
     w, u = np.linalg.eigh(np.eye(n * p) - gram)
@@ -63,8 +68,6 @@ def bunce_dilate(t: MatrixTuple, depth: int, tol: float = 1e-8,
     defect = hermitize((u * np.sqrt(w_clip)) @ u.conj().T, "defect")
     defect_rank = int(np.sum(w_clip > DEFECT_RANK_TOL))
 
-    f = make_fock(n, depth)
-    dim = f.dim * p
     block_rows = np.arange(p).repeat(p)
     block_cols = np.tile(np.arange(p), p)
     ops = []
@@ -79,9 +82,7 @@ def bunce_dilate(t: MatrixTuple, depth: int, tol: float = 1e-8,
             rows.append(j * p + block_rows)
             cols.append(block_cols)
             vals.append(strip[(j - 1) * p:j * p, :].ravel())
-        for k in range(1, f.dim):
-            if f.levels[k] >= depth:
-                break
+        for k in range(1, fock_dim(n, depth - 1)):
             child = k * n + i
             rows.append(child * p + np.arange(p))
             cols.append(k * p + np.arange(p))
@@ -110,26 +111,24 @@ def verify_dilation(r: DilationResult, t: MatrixTuple, max_word: int = 3) -> Dil
     the worst gap between a compressed dilation word and the matching
     A-word, over words of length up to min(max_word, depth).  Words act
     on the original block only, so each word costs one sparse apply to a
-    column slab instead of a full matrix product.
+    column slab instead of a full matrix product; no gram is densified.
     """
     n, p = t.n, t.p
     if len(r.V) != n or r.p != p:
         raise InputError("dilation and tuple shapes do not match")
     dim = r.V[0].shape[0]
-    f = make_fock(n, r.depth)
-    inner = f.inner_dim() * p
-    proj_diag = np.zeros(dim)
-    proj_diag[:inner] = 1.0
-    proj = sp.diags(proj_diag, format="csr")
+    inner = make_fock(n, r.depth).inner_dim() * p
+    proj = sp.diags((np.arange(dim) < inner).astype(float), format="csr")
     iso_dev = 0.0
     for i in range(n):
         for j in range(n):
-            gram = (r.V[i].conj().T @ r.V[j]).tocsr()
-            if i == j:
-                gram = gram - proj
-            iso_dev = max(iso_dev, float(np.linalg.norm(gram.toarray(), 2)))
-    base = np.zeros((dim, p), dtype=np.complex128)
-    base[:p, :p] = np.eye(p)
+            gram = (r.V[i].conj().T @ r.V[j] - (proj if i == j else 0)).tocsr()
+            # Norm on the rows and columns holding nonzeros: the vacuum block, up to rounding.
+            rows, cols = gram.nonzero()
+            if rows.size:
+                sub = gram[np.unique(rows)][:, np.unique(cols)].toarray()
+                iso_dev = max(iso_dev, float(np.linalg.norm(sub, 2)))
+    base = np.eye(dim, p, dtype=np.complex128)
     comp_dev = 0.0
     words = 0
     frontier = [(base, np.eye(p, dtype=np.complex128))]
@@ -204,7 +203,7 @@ class LiftResult:
 
 
 def lift_tuple(q: QuotientAlgebra, t: MatrixTuple, depth: int,
-               theta_points: int = THETA_POINTS, cap: int = EIG_CAP) -> LiftResult:
+               theta_points: int = THETA_POINTS) -> LiftResult:
     """Lift a quotient tuple by zero-padding the ideal blocks.
 
     The joint radii of the base and the lift are compared depth by depth:
@@ -213,6 +212,7 @@ def lift_tuple(q: QuotientAlgebra, t: MatrixTuple, depth: int,
     coupling operator is traceless), so the radii must match to
     eigensolver accuracy.
     """
+    check_depth(depth, LADDER_BUDGET)
     pairs = _quotient_slices(q)
     if t.p != q.quotient_size:
         raise InputError(
@@ -235,15 +235,12 @@ def lift_tuple(q: QuotientAlgebra, t: MatrixTuple, depth: int,
     lifted = MatrixTuple(n=t.n, p=total, a=tuple(lifted_mats))
 
     depths = tuple(range(1, depth + 1))
-    base_lower = []
-    lifted_lower = []
-    for d in depths:
-        base_lower.append(joint_numerical_radius(
-            t, d, theta_points=theta_points, cap=cap).lower)
-        lifted_lower.append(joint_numerical_radius(
-            lifted, d, theta_points=theta_points, cap=cap).lower)
+    base_lower = tuple(joint_numerical_radius(t, d, theta_points=theta_points).lower
+                       for d in depths)
+    lifted_lower = tuple(joint_numerical_radius(lifted, d, theta_points=theta_points).lower
+                         for d in depths)
     return LiftResult(lifted=lifted, depths=depths,
-                      base_lower=tuple(base_lower), lifted_lower=tuple(lifted_lower))
+                      base_lower=base_lower, lifted_lower=lifted_lower)
 
 
 def project_tuple(q: QuotientAlgebra, t: MatrixTuple) -> MatrixTuple:

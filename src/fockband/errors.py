@@ -10,7 +10,7 @@ class InputError(FockbandError):
 
 
 class CapacityError(FockbandError):
-    """A requested truncation would exceed the configured size cap."""
+    """A requested depth is past the level budget, or a word space past its size cap."""
 
 
 class DomainError(FockbandError):

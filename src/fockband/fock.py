@@ -14,8 +14,8 @@ deeper operator.  Products of these matrices are exact in floating point,
 which the relation tests rely on.
 
 A matrix tuple (``MatrixTuple``) supplies the p x p coefficients of the
-band operator, whose assemblies here are the reference for tests;
-``check_capacity`` guards the size ``fock_dim(n, depth) * p`` of a truncation.
+band operator, whose assemblies here are the reference for tests.  Only
+the word-space builders are size-guarded (``capped_dim``).
 """
 
 from __future__ import annotations
@@ -28,11 +28,8 @@ import scipy.sparse as sp
 from .errors import CapacityError, InputError
 from .linalg import as_matrix
 
-#: Default cap on the truncated dimension.
+#: Cap on the dimension of a word space built by ``make_fock``.
 DIM_CAP = 200_000
-
-#: Default cap on a truncation's size (word-space dimension) * p; no band of it is built.
-EIG_CAP = 20_000
 
 
 def fock_dim(n: int, depth: int) -> int:
@@ -44,6 +41,15 @@ def fock_dim(n: int, depth: int) -> int:
     if n == 1:
         return depth + 1
     return (n ** (depth + 1) - 1) // (n - 1)
+
+
+def capped_dim(n: int, depth: int, max_rows: int, p: int = 1) -> int:
+    """``fock_dim(n, depth)``; CapacityError past ``max_rows`` rows of ``p`` per word."""
+    dim = fock_dim(n, min(depth, max_rows))  # dim > depth: the clip keeps the verdict
+    if dim * p > max_rows:
+        raise CapacityError(
+            f"depth {depth} on {n} letters needs more than {max_rows} rows ({p} per word)")
+    return dim
 
 
 @dataclass(frozen=True)
@@ -79,13 +85,6 @@ class MatrixTuple:
         return g
 
 
-def check_capacity(t: MatrixTuple, depth: int, cap: int) -> None:
-    """Refuse a depth-``depth`` truncation of ``t`` larger than ``cap`` rows."""
-    size = fock_dim(t.n, depth) * t.p
-    if size > cap:
-        raise CapacityError(f"truncation size {size} = dim * p exceeds cap {cap}")
-
-
 @dataclass(frozen=True)
 class TruncatedFock:
     """A depth-truncated word space on ``n`` letters."""
@@ -106,14 +105,10 @@ class TruncatedFock:
         return fock_dim(self.n, self.depth - 1) if self.depth > 0 else 0
 
 
-def make_fock(n: int, depth: int, cap: int = DIM_CAP) -> TruncatedFock:
-    """Build the truncated word space, guarding against oversized requests."""
-    dim = fock_dim(n, depth)
-    if dim > cap:
-        raise CapacityError(f"truncated dimension {dim} exceeds cap {cap}")
-    levels = np.zeros(dim, dtype=np.int64)
-    for k in range(1, dim):
-        levels[k] = levels[(k - 1) // n] + 1
+def make_fock(n: int, depth: int) -> TruncatedFock:
+    """Build the truncated word space, refusing more than ``DIM_CAP`` words."""
+    dim = capped_dim(n, depth, DIM_CAP)
+    levels = np.repeat(np.arange(depth + 1), n ** np.arange(depth + 1))
     return TruncatedFock(n=n, depth=depth, dim=dim, levels=levels)
 
 

@@ -17,7 +17,7 @@ positive definite exactly when X_0..X_d are, and its short onto the
 vacuum block is X_d.  Per-depth positivity, every vacuum short below and
 the band's least eigenvalue (the root of lam_min(X_d(mu)), found by
 Newton) run through this recursion in p x p arithmetic; the band itself
-is never built.
+is never built, so a request is bounded by its depth alone (``check_depth``).
 
 Completion turns that machinery into a positivity certificate for a
 matrix tuple.  Short the epsilon-shrunk truncated band operator onto the
@@ -36,14 +36,15 @@ finite and re-checkable by a single eigensolve.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InputError
-from .fock import EIG_CAP, MatrixTuple, check_capacity
+from .errors import CapacityError, ConvergenceError, DomainError, InputError
+from .fock import MatrixTuple
 from .linalg import PINV_CUTOFF, as_matrix, hermitize, pinv, psd_margin
 
 
@@ -189,11 +190,19 @@ def arrowhead_matrix(a0: np.ndarray, arms, diag: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Iteration budget for the deep peeling continuation of ando_complete.
+#: Level budget: the deepest truncation served, and the peeling continuation's step budget.
 PEEL_BUDGET = 200_000
 
 #: Pass budget of the safeguarded Newton iteration of band_min_eig.
 NEWTON_BUDGET = 200
+
+
+def check_depth(depth: int, budget: int = PEEL_BUDGET) -> None:
+    """The recursion's one guard: InputError below 0, CapacityError past ``budget``."""
+    if depth < 0:
+        raise InputError(f"depth must be >= 0, got {depth}")
+    if depth > budget:
+        raise CapacityError(f"depth {depth} exceeds the level budget {budget}")
 
 
 def _row_and_adjoints(t: MatrixTuple) -> tuple[np.ndarray, np.ndarray]:
@@ -264,6 +273,7 @@ def band_min_eig(t: MatrixTuple, depth: int) -> float:
     numerical radius is at most r cos(pi/(depth+2)) (Haagerup-de la Harpe),
     and 1 - r is lam_min(band_1).  The lower end is exact for scalar tuples.
     """
+    check_depth(depth)
     r = math.sqrt(max(0.0, float(np.linalg.eigvalsh(t.row_gram())[-1])))
     if depth == 0 or r == 0.0:
         return 1.0
@@ -293,17 +303,19 @@ def band_min_eig(t: MatrixTuple, depth: int) -> float:
         f"least band eigenvalue at depth {depth} not converged after {NEWTON_BUDGET} passes")
 
 
-def _pivots_to(t: MatrixTuple, depth: int, shift: float = 0.0) -> list[np.ndarray]:
-    """X_0..X_depth; DomainError unless ``band_depth - shift * I`` is positive definite."""
-    pivots = list(islice(_level_pivots(t, shift), depth + 1))
-    if len(pivots) <= depth:
-        raise DomainError(f"band operator is not positive definite at depth {len(pivots)} "
+def _pivots_to(t: MatrixTuple, depth: int, shift: float = 0.0) -> Iterator[np.ndarray]:
+    """Yield X_0..X_depth; DomainError unless ``band_depth - shift * I`` is positive definite."""
+    count = 0
+    for count, x in enumerate(islice(_level_pivots(t, shift), depth + 1), 1):
+        yield x
+    if count <= depth:
+        raise DomainError(f"band operator is not positive definite at depth {count} "
                           f"(shift {shift:.3e})")
-    return pivots
 
 
 def first_nonpositive_depth(t: MatrixTuple, max_depth: int, shift: float = 0.0) -> int | None:
     """Least d <= max_depth with ``band_d - shift * I`` not positive definite, else None."""
+    check_depth(max_depth)
     count = sum(1 for _ in islice(_level_pivots(t, shift), max_depth + 1))
     return count if count <= max_depth else None
 
@@ -313,7 +325,7 @@ def _arrowhead_margin(a0: np.ndarray, arms, diag: np.ndarray) -> float:
 
 
 def ando_complete(t: MatrixTuple, depth: int = 6, epsilon: float | None = None,
-                  tol: float = 1e-8, cap: int = EIG_CAP) -> AndoCertificate:
+                  tol: float = 1e-8) -> AndoCertificate:
     """Completion certificate for a dual row contraction.
 
     Takes b as the short of the epsilon-shrunk depth-``depth`` band
@@ -331,7 +343,6 @@ def ando_complete(t: MatrixTuple, depth: int = 6, epsilon: float | None = None,
     budget runs out.  An explicit epsilon is honored literally and never
     extended.
     """
-    check_capacity(t, depth, cap)
     band_margin = band_min_eig(t, depth)
     if band_margin <= tol:
         raise DomainError(
@@ -345,7 +356,7 @@ def ando_complete(t: MatrixTuple, depth: int = 6, epsilon: float | None = None,
             f"epsilon must lie in (0, {band_margin:.3e}), got {epsilon:.3e}")
 
     p = t.p
-    b = _pivots_to(t, depth, shift=epsilon)[-1]
+    b = deque(_pivots_to(t, depth, shift=epsilon), maxlen=1)[0]  # X_depth alone is kept
     margin = _arrowhead_margin(np.eye(p) - b, t.a, b)
     depth_used = depth
     epsilon_used = float(epsilon)
@@ -392,8 +403,7 @@ class SelfSimilarityReport:
         return self.drifts[-1] if self.drifts else 0.0
 
 
-def self_similarity_check(t: MatrixTuple, depth: int,
-                          cap: int = EIG_CAP) -> SelfSimilarityReport:
+def self_similarity_check(t: MatrixTuple, depth: int) -> SelfSimilarityReport:
     """Track how the vacuum-block short stabilizes as the truncation deepens.
 
     The tail of the band operator repeats the band one level down, so the
@@ -402,7 +412,7 @@ def self_similarity_check(t: MatrixTuple, depth: int,
     No band is built: DomainError is raised unless the band operator is
     positive definite at depth ``depth``.
     """
-    check_capacity(t, depth, cap)
-    shorts = tuple(_pivots_to(t, depth)[1:])
+    check_depth(depth)
+    shorts = tuple(islice(_pivots_to(t, depth), 1, None))
     drifts = tuple(float(np.linalg.norm(b - a, 2)) for a, b in zip(shorts, shorts[1:]))
     return SelfSimilarityReport(depths=tuple(range(1, depth + 1)), shorts=shorts, drifts=drifts)

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from fockband import MatrixTuple
+from fockband import MatrixTuple, dilation, radius
 from fockband.cli import main
+from fockband.radius import LADDER_BUDGET
 from fockband.serialize import matrix_to_json, tuple_to_json
 
 
@@ -243,10 +244,66 @@ class TestErrorsAndConfig:
         assert json.loads(out)["error"] == "InputError"
 
     def test_capacity_exit(self, run):
-        code, out = run(["joint-radius", "--depth", "40"],
+        code, out = run(["joint-radius", "--depth", "1000000"],
                         scalar_tuple_json(0.3, 0.4))
         assert code == 3
         assert json.loads(out)["error"] == "CapacityError"
+
+    def test_word_space_guard_exit(self, run):
+        code, out = run(["dilate", "--depth", "15000"], scalar_tuple_json(0.3, 0.4))
+        assert code == 3
+        assert json.loads(out)["error"] == "CapacityError"
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["check-dual-row", "--max-depth", "-1"], scalar_tuple_json(0.3, 0.4)),
+        (["joint-radius", "--depth", "-1"], scalar_tuple_json(0.3, 0.4)),
+        (["ando-complete", "--depth", "-1"], scalar_tuple_json(0.3, 0.4)),
+        (["cp-check", "--max-depth", "-1"],
+         {"unit": matrix_to_json(np.eye(1)), "x": [matrix_to_json(np.array([[0.45]]))]}),
+        (["dilate", "--depth", "-1"], scalar_tuple_json(0.3, 0.4)),
+        (["lift", "--depth", "-1"], {"block_sizes": [1, 1], "ideal": [1],
+                                     "tuple": scalar_tuple_json(0.3, 0.4)}),
+        (["sweep", "--depth", "-1"], scalar_tuple_json(0.3, 0.4)),
+    ])
+    def test_negative_depth_exits_3(self, run, argv, payload):
+        code, out = run(argv, payload)
+        assert code == 3
+        assert json.loads(out)["error"] == "InputError"
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["sweep", "--depth", str(LADDER_BUDGET + 1)], scalar_tuple_json(0.3, 0.4)),
+        (["lift", "--depth", str(LADDER_BUDGET + 1)],
+         {"block_sizes": [1, 1], "ideal": [1], "tuple": scalar_tuple_json(0.3, 0.4)}),
+    ])
+    def test_ladder_past_budget_exits_3_unsolved(self, run, monkeypatch, argv, payload):
+        # A ladder costs O(D^2) level steps, so it is refused before any depth is solved.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a radius was solved")
+        monkeypatch.setattr(radius, "joint_numerical_radius", refuse)
+        monkeypatch.setattr(dilation, "joint_numerical_radius", refuse)
+        code, out = run(argv, payload)
+        assert code == 3
+        assert json.loads(out)["error"] == "CapacityError"
+
+    def test_deep_request_builds_no_word_space(self, run):
+        # n = p = 3 at depth 9 is a band of 88,572 rows; the recursion is 3 x 3.
+        mats = 0.1 * np.random.default_rng(3).standard_normal((3, 3, 3))
+        t = MatrixTuple.from_arrays(list(mats))
+        code, out = run(["joint-radius", "--depth", "9"], tuple_to_json(t))
+        assert code == 0
+        r = math.sqrt(np.linalg.eigvalsh(t.row_gram())[-1])
+        assert r / 2 <= json.loads(out)["lower"] <= r
+
+    def test_no_cap_setting(self, run, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cap": 20000}))
+        code, out = run(["joint-radius", "--depth", "2", "--config", str(cfg)],
+                        scalar_tuple_json(0.1))
+        assert code == 3
+        assert "cap" in json.loads(out)["message"]
+        with pytest.raises(SystemExit) as exc:
+            main(["joint-radius", "--cap", "100"])
+        assert exc.value.code == 2
 
     def test_config_file_applies(self, run, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -54,6 +54,34 @@ class TestBunceDilate:
         with pytest.raises(CapacityError):
             bunce_dilate(scalars(0.1, 0.1), depth=30)
 
+    def test_rejects_depth_zero(self):
+        # The defect enters at word level 1, which a depth-0 tower lacks.
+        with pytest.raises(InputError):
+            bunce_dilate(scalars(0.3, 0.4), depth=0)
+
+    def test_deep_verification_stays_sparse(self):
+        # 16,383 rows: a dense gram deviation would take 4.3 GB.
+        t = scalars(0.3, 0.4)
+        rep = verify_dilation(bunce_dilate(t, depth=13), t)
+        assert rep.isometry_deviation <= 1e-10
+        assert rep.compression_deviation <= 1e-10
+
+    def test_isometry_deviation_matches_dense_norm(self, rng):
+        t = random_row_contraction(rng, 3, 2, norm=0.9)
+        r = bunce_dilate(t, depth=3)
+        # Corrupt deep columns so the deviation leaves the vacuum block.
+        bad = [v.tolil() for v in r.V]
+        bad[1][20, 5] += 0.3
+        bad[2][7, 9] += 0.2j
+        r = DilationResult(V=tuple(v.tocsr() for v in bad), depth=r.depth,
+                           defect_rank=r.defect_rank, p=r.p)
+        inner = make_fock(3, 3).inner_dim() * 2
+        proj = np.diag((np.arange(r.V[0].shape[0]) < inner).astype(float))
+        dense = max(np.linalg.norm((vi.conj().T @ vj).toarray() - (i == j) * proj, 2)
+                    for i, vi in enumerate(r.V) for j, vj in enumerate(r.V))
+        assert dense > 0.1
+        assert verify_dilation(r, t).isometry_deviation == pytest.approx(dense, rel=1e-12)
+
     def test_corrupted_dilation_is_flagged(self, rng):
         t = random_row_contraction(rng, 2, 2, norm=0.8)
         r = bunce_dilate(t, depth=3)

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from fockband import (CapacityError, InputError, MatrixTuple, band_operator,
                       band_operator_sparse, compress, coupling_operator_sparse,
                       cuntz_isometries, fock_dim, make_fock)
+from fockband.fock import capped_dim
 
 from support import random_tuple
 
@@ -27,6 +28,32 @@ def test_make_fock_levels():
 def test_make_fock_capacity():
     with pytest.raises(CapacityError):
         make_fock(3, 20)
+
+
+def test_capped_dim_counts_words_up_to_the_cap():
+    for n in (1, 2, 3, 5):
+        for depth in range(12):
+            for p in (1, 2, 7):
+                if fock_dim(n, depth) * p <= 20_000:
+                    assert capped_dim(n, depth, 20_000, p) == fock_dim(n, depth)
+                else:
+                    with pytest.raises(CapacityError):
+                        capped_dim(n, depth, 20_000, p)
+    assert capped_dim(1, 19_999, 20_000) == 20_000
+    assert capped_dim(2, 3, 60, 4) == 15
+    for n, depth, max_rows, p in ((1, 20_000, 20_000, 1), (2, 3, 60, 5), (1, 9_999, 20_000, 3)):
+        with pytest.raises(CapacityError):
+            capped_dim(n, depth, max_rows, p)
+
+
+def test_capped_dim_refuses_deep_requests_without_the_power():
+    # fock_dim(2, 10**9) has 3e8 digits; neither its value nor its text is formed.
+    for n, p in ((1, 3), (2, 1), (3, 2)):
+        with pytest.raises(CapacityError) as exc:
+            capped_dim(n, 10**9, 20_000, p)
+        assert len(str(exc.value)) < 100
+    with pytest.raises(InputError):
+        capped_dim(2, -1, 20_000)
 
 
 def test_isometry_relations_exact():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockband import (CERTIFIED_NO, CERTIFIED_YES, UNDECIDED, CapacityError,
-                      MatrixTuple, band_operator, coupling_operator_sparse,
+from fockband import (CERTIFIED_NO, CERTIFIED_YES, UNDECIDED,
+                      MatrixTuple, ando_complete, band_operator, coupling_operator_sparse,
                       dual_implies_row, is_dual_row_contraction, is_row_contraction,
                       joint_numerical_radius, lam_min, make_fock,
                       numerical_radius)
@@ -105,9 +105,10 @@ class TestJointRadius:
         w = joint_numerical_radius(joined, depth=3, theta_points=64).lower
         assert w == pytest.approx(max(w1, w2), abs=1e-10)
 
-    def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            joint_numerical_radius(scalars(0.3, 0.4), depth=30)
+    def test_deep_truncation_closed_form(self):
+        # 1.6e10 band rows; the level recursion never builds them.
+        est = joint_numerical_radius(scalars(0.3, 0.4), depth=30)
+        assert est.lower == pytest.approx(0.5 * math.cos(math.pi / 32), abs=1e-12)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(1, 3), p=st.integers(1, 3), depth=st.integers(1, 4),
@@ -172,9 +173,21 @@ class TestDualRowContraction:
         assert v.depth == 6
         assert v.margin > 0.0
 
-    def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            is_dual_row_contraction(scalars(0.3, 0.4), max_depth=30)
+    def test_certificate_equals_direct_completion(self):
+        # The verdict reuses its band eigenvalue; the certificate must not change.
+        for t in (scalars(0.3, 0.4), random_tuple(np.random.default_rng(5), 2, 3, scale=0.15)):
+            v = is_dual_row_contraction(t)
+            direct = ando_complete(t, depth=6)
+            assert v.status == CERTIFIED_YES
+            assert np.array_equal(v.certificate.b, direct.b)
+            assert v.certificate.margin == direct.margin
+            assert v.certificate.epsilon_used == direct.epsilon_used
+            assert v.certificate.depth_used == direct.depth_used
+
+    def test_deep_truncation_certifies(self):
+        v = is_dual_row_contraction(scalars(0.3, 0.4), max_depth=30)
+        assert v.status == CERTIFIED_YES
+        assert v.depth == 30
 
 
 class TestDualImpliesRow:

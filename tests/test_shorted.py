@@ -1,16 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fockband.shorted as shorted_mod
-from fockband import (AndoCertificate, BlockSplit, ConvergenceError,
+from fockband import (AndoCertificate, BlockSplit, CapacityError, ConvergenceError,
                       DomainError, InputError, MatrixTuple, ando_complete,
                       arrowhead_matrix, block_split, lam_min, psd_margin,
                       self_similarity_check, short, variational_check)
 from fockband.fock import band_operator_sparse, fock_dim, make_fock
-from fockband.shorted import (_level_step, _pivots_to, _row_and_adjoints, band_min_eig,
-                              first_nonpositive_depth)
+from fockband.shorted import (PEEL_BUDGET, _level_step, _pivots_to, _row_and_adjoints,
+                              band_min_eig, first_nonpositive_depth)
 
 from support import random_psd, random_tuple
 
@@ -189,6 +191,20 @@ class TestAndoComplete:
         with pytest.raises(DomainError, match="not positive definite at depth"):
             ando_complete(scalars(0.5002))
 
+    def test_deep_completion_keeps_one_pivot(self, monkeypatch):
+        # 3000 pivots of 4 x 4 would hold 768 kB; the completion keeps X_depth alone.
+        t = interior_tuple(np.random.default_rng(6), p=4)
+        margin = band_min_eig(t, 40)
+        monkeypatch.setattr(shorted_mod, "band_min_eig", lambda t, depth: margin)
+        tracemalloc.start()
+        try:
+            cert = ando_complete(t, depth=3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.depth_used == 3000 and cert.strictly_valid()
+        assert peak < 200_000
+
     def test_budget_exhaustion(self, monkeypatch):
         monkeypatch.setattr(shorted_mod, "PEEL_BUDGET", 64)
         with pytest.raises(ConvergenceError):
@@ -228,7 +244,7 @@ def test_level_recursion_matches_dense_band(n, p, depth, seed, scale, mu):
     expected = next((d for d, m in enumerate(mins) if m < mu), None)
     assert first_nonpositive_depth(t, depth, shift=mu) == expected
     if expected is None:
-        vacuum = _pivots_to(t, depth, shift=mu)[-1]
+        vacuum = list(_pivots_to(t, depth, shift=mu))[-1]
         shifted = band - mu * np.eye(band.shape[0])
         assert np.linalg.norm(vacuum - dense_vacuum_short(shifted, p), 2) <= 1e-12
 
@@ -283,3 +299,16 @@ class TestSelfSimilarity:
     def test_rejects_nonpositive_band(self):
         with pytest.raises(DomainError):
             self_similarity_check(scalars(1.0), depth=3)
+
+
+@pytest.mark.parametrize("entry", [
+    band_min_eig, first_nonpositive_depth, self_similarity_check,
+    lambda t, depth: ando_complete(t, depth=depth),
+])
+def test_recursion_entries_check_depth(entry):
+    t = scalars(0.3, 0.4)
+    with pytest.raises(InputError):
+        entry(t, -5)
+    with pytest.raises(CapacityError):
+        entry(t, PEEL_BUDGET + 1)
+    shorted_mod.check_depth(PEEL_BUDGET)
