@@ -18,9 +18,8 @@ from .radius import (CERTIFIED_NO, CERTIFIED_YES, UNDECIDED, ContractionVerdict,
                      DualRowReport, RadiusEstimate, dual_implies_row,
                      is_dual_row_contraction, is_row_contraction,
                      joint_numerical_radius, numerical_radius)
-from .shorted import (AndoCertificate, BlockSplit, SelfSimilarityReport, ShortResult,
-                      VariationalReport, ando_complete, arrowhead_matrix, block_split,
-                      self_similarity_check, short, variational_check)
+from .shorted import (AndoCertificate, BlockSplit, ShortResult, VariationalReport,
+                      ando_complete, arrowhead_matrix, block_split, short, variational_check)
 from .ensys import (DualElement, DualMap, DualVerdict, EnDecomposition, EnElement,
                     PhiImage, dual_cp_check, dual_element, dual_map, dual_positive,
                     en_decompose, en_element, image_operator, kernel_membership,
@@ -42,8 +41,7 @@ __all__ = [
     "joint_numerical_radius", "is_row_contraction", "is_dual_row_contraction",
     "dual_implies_row",
     "BlockSplit", "ShortResult", "VariationalReport", "AndoCertificate",
-    "SelfSimilarityReport", "block_split", "short", "variational_check",
-    "arrowhead_matrix", "ando_complete", "self_similarity_check",
+    "block_split", "short", "variational_check", "arrowhead_matrix", "ando_complete",
     "EnElement", "PhiImage", "EnDecomposition", "DualElement", "DualVerdict",
     "DualMap", "en_element", "phi_apply", "image_operator", "kernel_membership",
     "pattern_matrix", "en_decompose", "dual_element", "dual_positive", "theta_embed",

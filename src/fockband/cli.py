@@ -67,6 +67,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         val = getattr(args, key, None)
         if val is not None:
             cfg = replace(cfg, **{key: val})
+    if not 0.0 <= cfg.tol < np.inf:
+        raise InputError(f"tol must be finite and nonnegative, got {cfg.tol!r}")
+    if cfg.epsilon is not None and not np.isfinite(cfg.epsilon):
+        raise InputError(f"epsilon must be finite, got {cfg.epsilon!r}")
     return cfg
 
 
@@ -154,12 +158,9 @@ def _cmd_dilate(args, cfg: RunConfig) -> tuple[int, dict]:
 
 def _cmd_lift(args, cfg: RunConfig) -> tuple[int, dict]:
     data = _load_payload(args)
-    if not isinstance(data, dict) or "tuple" not in data:
+    if not isinstance(data, dict) or not {"block_sizes", "tuple"} <= data.keys():
         raise InputError("lift input must hold 'block_sizes', 'ideal', and 'tuple'")
-    try:
-        q = dilation.quotient_algebra(data["block_sizes"], data.get("ideal", []))
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed quotient description ({exc})")
+    q = dilation.quotient_algebra(data["block_sizes"], data.get("ideal", []))
     t = serialize.tuple_from_json(data["tuple"])
     depth = args.depth if args.depth is not None else 5
     result = dilation.lift_tuple(q, t, depth, theta_points=cfg.theta_points)

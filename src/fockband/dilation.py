@@ -18,6 +18,7 @@ truncation depth, the finite shadow of radius-preserving liftability.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,10 +164,13 @@ class QuotientAlgebra:
 
 
 def quotient_algebra(block_sizes, ideal) -> QuotientAlgebra:
-    sizes = tuple(int(s) for s in block_sizes)
+    try:
+        sizes = tuple(operator.index(s) for s in block_sizes)
+        idx = tuple(sorted(operator.index(k) for k in ideal))
+    except TypeError:
+        raise InputError(f"block sizes and ideal must list integers: {block_sizes!r}, {ideal!r}")
     if not sizes or any(s <= 0 for s in sizes):
         raise InputError(f"block sizes must be positive, got {sizes}")
-    idx = tuple(sorted(int(k) for k in ideal))
     if len(set(idx)) != len(idx) or any(k < 0 or k >= len(sizes) for k in idx):
         raise InputError(f"ideal must be a set of block indices in [0, {len(sizes)}), got {idx}")
     if len(idx) == len(sizes):

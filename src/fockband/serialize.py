@@ -22,6 +22,7 @@ from .errors import InputError
 from .ensys import (DualElement, DualMap, EnDecomposition, EnElement, dual_element,
                     dual_map, en_element)
 from .fock import MatrixTuple
+from .linalg import as_matrix
 from .radius import ContractionVerdict, RadiusEstimate
 from .shorted import AndoCertificate, arrowhead_matrix
 
@@ -48,7 +49,7 @@ def matrix_from_json(d: Any, name: str = "matrix") -> np.ndarray:
     if re.shape != (rows, cols) or im.shape != (rows, cols):
         raise InputError(
             f"{name}: data shape {re.shape}/{im.shape} disagrees with ({rows}, {cols})")
-    return re + 1j * im
+    return as_matrix(re + 1j * im, name)
 
 
 def tuple_to_json(t: MatrixTuple) -> dict[str, Any]:
@@ -138,6 +139,8 @@ def certificate_from_json(d: Any) -> AndoCertificate:
         depth = int(d["depth"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed certificate JSON ({exc})")
+    if a.shape != (arms.p, arms.p) or b.shape != a.shape:
+        raise InputError(f"a {a.shape} and b {b.shape} must be {(arms.p, arms.p)} like the arms")
     head = arrowhead_matrix(a, arms.a, b)
     return AndoCertificate(a=a, b=b, arrowhead=head, margin=margin,
                            epsilon_used=epsilon, depth_used=depth, arms=arms)
@@ -171,8 +174,11 @@ def decomposition_from_json(d: Any) -> tuple[EnDecomposition, EnElement]:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed decomposition JSON ({exc})")
     m = n + 1
-    if dec.P.shape != (m * m, m * m):
-        raise InputError(f"P has shape {dec.P.shape}, expected ({m * m}, {m * m})")
+    for name, got, want in (("element (n, p)", (element.n, element.p), (n, p)),
+                            ("P", dec.P.shape, (m * m, m * m)), ("D", dec.D.shape, (p, p)),
+                            ("Q", dec.Q.shape, (m * p, m * p))):
+        if got != want:
+            raise InputError(f"{name} is {got}, expected {want}")
     return dec, element
 
 

@@ -30,7 +30,9 @@ vacuum block to get b, set a = 1 - b, and assemble the arrowhead
 
 A nonnegative arrowhead spectrum with a, b both strictly positive
 certifies the tuple as a strict dual row contraction; the certificate is
-finite and re-checkable by a single eigensolve.
+finite and re-checkable by a single eigensolve.  At the boundary the pair
+sits at the limit of the shift-free recursion, the maximal solution of
+X + sum_i a_i X^{-1} a_i* = I, which Newton's method reaches instead.
 """
 
 from __future__ import annotations
@@ -82,6 +84,9 @@ class AndoCertificate:
     ``margin`` is the least eigenvalue of the assembled arrowhead.  The
     arms are carried along so the certificate is self-contained: checking
     it needs only eigensolves, not the construction that produced it.
+    b is the vacuum short of the depth-``depth_used`` band shrunk by
+    ``epsilon_used``, or, when ``epsilon_used == 0``, a Newton iterate for
+    the recursion's fixed point after the depth-``depth_used`` short failed.
     """
 
     a: np.ndarray
@@ -190,10 +195,10 @@ def arrowhead_matrix(a0: np.ndarray, arms, diag: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Level budget: the deepest truncation served, and the peeling continuation's step budget.
+#: Level budget: the deepest truncation served.
 PEEL_BUDGET = 200_000
 
-#: Pass budget of the safeguarded Newton iteration of band_min_eig.
+#: Pass budget of the Newton iterations: band_min_eig's and the fixed point's.
 NEWTON_BUDGET = 200
 
 
@@ -337,11 +342,10 @@ def ando_complete(t: MatrixTuple, depth: int = 6, epsilon: float | None = None,
 
     Boundary tuples defeat any fixed shallow truncation: their only valid
     pair sits at the fixed point of the level recursion, which the
-    depth-L short reaches only as L grows.  The automatic-epsilon path
-    therefore keeps iterating with the shift removed until the arrowhead
-    margin clears -tol, the recursion refutes band positivity, or the
-    budget runs out.  An explicit epsilon is honored literally and never
-    extended.
+    depth-L short reaches only as L grows.  So when the arrowhead margin is
+    below -tol, the automatic-epsilon path takes the first Newton iterate
+    for that fixed point whose margin clears -tol (``epsilon_used == 0``,
+    ``depth_used == depth``).  An explicit epsilon is honored literally.
     """
     band_margin = band_min_eig(t, depth)
     if band_margin <= tol:
@@ -358,61 +362,45 @@ def ando_complete(t: MatrixTuple, depth: int = 6, epsilon: float | None = None,
     p = t.p
     b = deque(_pivots_to(t, depth, shift=epsilon), maxlen=1)[0]  # X_depth alone is kept
     margin = _arrowhead_margin(np.eye(p) - b, t.a, b)
-    depth_used = depth
-    epsilon_used = float(epsilon)
     if auto and margin < -tol:
-        b, margin, depth_used = _peel_to_margin(t, tol, start_depth=depth)
-        epsilon_used = 0.0
+        b, margin = _fixed_point(t, tol)
+        epsilon = 0.0
     a = np.eye(p, dtype=np.complex128) - b
     head = arrowhead_matrix(a, t.a, b)
     return AndoCertificate(a=a, b=b, arrowhead=head, margin=margin,
-                          epsilon_used=epsilon_used, depth_used=depth_used, arms=t)
+                          epsilon_used=float(epsilon), depth_used=depth, arms=t)
 
 
-def _peel_to_margin(t: MatrixTuple, tol: float, start_depth: int) -> tuple[np.ndarray, float, int]:
-    """Run the shift-free level recursion until the arrowhead margin clears -tol."""
-    base = np.eye(t.p, dtype=np.complex128)
-    checkpoint = max(16, start_depth)
-    best = -np.inf
-    for depth, x in enumerate(_level_pivots(t)):
-        if depth >= checkpoint:
-            margin = _arrowhead_margin(base - x, t.a, x)
-            best = max(best, margin)
-            if margin >= -tol:
-                return x, margin, depth
-            checkpoint *= 2
-        if depth >= PEEL_BUDGET:
-            raise ConvergenceError(
-                f"arrowhead margin still {best:.3e} after {PEEL_BUDGET} peeling steps; "
-                "tuple sits too close to the boundary for this tolerance")
-    raise DomainError(
-        f"band operator is not positive definite at depth {depth + 1}; "
-        "no strict completion exists")
+def _fixed_point(t: MatrixTuple, tol: float) -> tuple[np.ndarray, float]:
+    """Newton from X = I on X + sum a_i X^{-1} a_i* = I, to the first margin >= -tol.
 
-
-@dataclass(frozen=True)
-class SelfSimilarityReport:
-    """Depthwise shorts of the band operator and their successive drifts."""
-
-    depths: tuple[int, ...]
-    shorts: tuple[np.ndarray, ...]
-    drifts: tuple[float, ...]
-
-    @property
-    def final_drift(self) -> float:
-        return self.drifts[-1] if self.drifts else 0.0
-
-
-def self_similarity_check(t: MatrixTuple, depth: int) -> SelfSimilarityReport:
-    """Track how the vacuum-block short stabilizes as the truncation deepens.
-
-    The tail of the band operator repeats the band one level down, so the
-    depth-L short is the level pivot X_L and should converge; the report
-    carries the successive differences rather than asserting any rate.
-    No band is built: DomainError is raised unless the band operator is
-    positive definite at depth ``depth``.
+    Each step solves H - sum K_i* H K_i = I - X - sum a_i K_i, K_i = X^{-1} a_i*, densely
+    in row-major vec form.  For a dual row contraction the iterates decrease to the
+    maximal solution (Guo-Lancaster), so a pivot that is not positive definite, a
+    singular step or a rising one ends the iteration; the level recursion then tells
+    refutation from exhaustion.
     """
-    check_depth(depth)
-    shorts = tuple(islice(_pivots_to(t, depth), 1, None))
-    drifts = tuple(float(np.linalg.norm(b - a, 2)) for a, b in zip(shorts, shorts[1:]))
-    return SelfSimilarityReport(depths=tuple(range(1, depth + 1)), shorts=shorts, drifts=drifts)
+    p, eye = t.p, np.eye(t.p, dtype=np.complex128)
+    row, adj = _row_and_adjoints(t)
+    x = eye
+    for _ in range(NEWTON_BUDGET):
+        try:
+            np.linalg.cholesky(x)
+            k = np.linalg.solve(x, adj).reshape(p, -1, p).swapaxes(0, 1)
+            stein = np.eye(p * p) - sum(np.kron(m.conj().T, m.T) for m in k)
+            h = np.linalg.solve(stein, np.ravel(eye - x - row @ k.reshape(-1, p))).reshape(p, p)
+        except np.linalg.LinAlgError:
+            break
+        h = 0.5 * (h + h.conj().T)
+        if np.linalg.eigvalsh(h)[-1] > tol:
+            break
+        x = x + h
+        margin = _arrowhead_margin(eye - x, t.a, x)
+        if margin >= -tol:
+            return x, margin
+    depth = first_nonpositive_depth(t, PEEL_BUDGET)
+    if depth is not None:
+        raise DomainError(f"band operator is not positive definite at depth {depth}; "
+                          "no strict completion exists")
+    raise ConvergenceError(f"arrowhead margin still below -{tol:.1e} where the fixed-point "
+                           "iteration stopped; tuple sits too close to the boundary")

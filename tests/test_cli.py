@@ -6,15 +6,33 @@ import sys
 import numpy as np
 import pytest
 
-from fockband import MatrixTuple, dilation, radius
+from fockband import MatrixTuple, ando_complete, dilation, en_decompose, en_element, radius
 from fockband.cli import main
 from fockband.radius import LADDER_BUDGET
-from fockband.serialize import matrix_to_json, tuple_to_json
+from fockband.serialize import (certificate_to_json, decomposition_to_json, matrix_to_json,
+                                tuple_to_json)
 
 
 def scalar_tuple_json(*values):
     t = MatrixTuple.from_arrays([np.array([[v]], dtype=complex) for v in values])
     return tuple_to_json(t)
+
+
+def certificate_json(a, b, arms):
+    """A wire certificate of (0.4,) with its a, b and arms replaced by the given matrices."""
+    cert = certificate_to_json(ando_complete(MatrixTuple.from_arrays([np.array([[0.4]])])))
+    cert.update(a=matrix_to_json(a), b=matrix_to_json(b), arms=[matrix_to_json(m) for m in arms])
+    return cert
+
+
+def decomposition_json_with_element(p):
+    """The p = 1 decomposition of a two-arm element, carrying a p x p element instead."""
+    half = np.array([[0.5]])
+    e = en_element(np.eye(1), np.eye(1), [half, half])
+    d = decomposition_to_json(en_decompose(e), e)
+    d["element"].update(a0=matrix_to_json(np.eye(p)), b=matrix_to_json(np.eye(p)),
+                        arms=[matrix_to_json(0.5 * np.eye(p))] * 2)
+    return d
 
 
 @pytest.fixture(autouse=True)
@@ -120,7 +138,7 @@ class TestCertificatePipeline:
         assert code == 0
         cert = json.loads(out)
         assert cert["kind"] == "ando_certificate"
-        assert cert["depth"] == 8192
+        assert cert["depth"] == 6
         assert cert["epsilon"] == 0.0
         path = tmp_path / "cert.json"
         path.write_text(out)
@@ -340,6 +358,48 @@ class TestErrorsAndConfig:
         code, out = run(["joint-radius", "--depth", "2", "--config", str(cfg)],
                         scalar_tuple_json(0.1))
         assert code == 3
+
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    @pytest.mark.parametrize("key, value", [
+        ("tol", "nan"), ("tol", "-1"), ("tol", "inf"), ("epsilon", "nan"), ("epsilon", "-inf"),
+    ])
+    def test_non_finite_or_negative_setting_exits_3(self, run, tmp_path, monkeypatch,
+                                                   source, key, value):
+        # (0.52,) has joint radius 0.52 > 1/2: tol nan used to certify it.
+        argv = ["ando-complete"]
+        if source == "flag":
+            argv.append(f"--{key}={value}")
+        elif source == "env":
+            monkeypatch.setenv(f"FOCKBAND_{key.upper()}", value)
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: float(value)}))
+            argv += ["--config", str(cfg)]
+        code, out = run(argv, scalar_tuple_json(0.52))
+        assert code == 3
+        report = json.loads(out)
+        assert report["error"] == "InputError" and key in report["message"]
+
+    def test_zero_tol_is_accepted(self, run):
+        code, out = run(["check-row", "--tol", "0"], scalar_tuple_json(0.3, 0.4))
+        assert code == 0
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["verify"], certificate_json(0.5 * np.eye(2), 0.5 * np.eye(2), [np.array([[0.4]])])),
+        (["verify"], certificate_json(np.eye(1), 0.5 * np.eye(2), [np.array([[0.4]])])),
+        (["verify"], certificate_json(np.ones((1, 2)), np.eye(1), [np.array([[0.4]])])),
+        (["verify"], certificate_json(np.eye(1), np.array([[np.nan]]), [np.array([[0.4]])])),
+        (["verify"], decomposition_json_with_element(2)),
+        (["lift"], {"block_sizes": "ab", "ideal": [1], "tuple": scalar_tuple_json(0.3)}),
+        (["lift"], {"block_sizes": [1.5, 1], "ideal": [1], "tuple": scalar_tuple_json(0.3)}),
+        (["lift"], {"ideal": [1], "tuple": scalar_tuple_json(0.3)}),
+    ], ids=["arms-smaller-than-a-b", "a-smaller-than-b", "a-not-square", "b-not-finite",
+            "element-size-disagrees", "block-sizes-string", "block-sizes-float",
+            "block-sizes-missing"])
+    def test_malformed_wire_object_exits_3(self, run, argv, payload):
+        code, out = run(argv, payload)
+        assert code == 3
+        assert json.loads(out)["error"] == "InputError"
 
     def test_input_file(self, run, tmp_path):
         path = tmp_path / "t.json"

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 import fockband.shorted as shorted_mod
 from fockband import (AndoCertificate, BlockSplit, CapacityError, ConvergenceError,
                       DomainError, InputError, MatrixTuple, ando_complete,
-                      arrowhead_matrix, block_split, lam_min, psd_margin,
-                      self_similarity_check, short, variational_check)
+                      arrowhead_matrix, block_split, lam_min, psd_margin, short,
+                      variational_check)
 from fockband.fock import band_operator_sparse, fock_dim, make_fock
-from fockband.shorted import (PEEL_BUDGET, _level_step, _pivots_to, _row_and_adjoints,
-                              band_min_eig, first_nonpositive_depth)
+from fockband.cli import RunConfig, _verify_certificate
+from fockband.serialize import certificate_to_json
+from fockband.shorted import (PEEL_BUDGET, _arrowhead_margin, _fixed_point, _level_pivots,
+                              _level_step, _pivots_to, _row_and_adjoints, band_min_eig,
+                              first_nonpositive_depth)
 
-from support import random_psd, random_tuple
+from support import random_matrix, random_psd, random_tuple
 
 
 def scalars(*values):
@@ -182,10 +185,11 @@ class TestAndoComplete:
     def test_boundary_tuple_deep_continuation(self):
         cert = ando_complete(scalars(0.3, 0.4))
         assert cert.epsilon_used == 0.0
-        assert cert.depth_used == 8192
-        assert cert.b[0, 0].real == pytest.approx(0.50006102770651, abs=1e-10)
-        assert cert.margin == pytest.approx(-3.7243809425380192e-09, abs=1e-12)
-        assert cert.strictly_valid(1e-8)
+        assert cert.depth_used == 6
+        assert cert.b[0, 0].real == pytest.approx(0.5000610426077509, abs=1e-10)
+        assert cert.margin == pytest.approx(-3.726199848674838e-09, abs=1e-12)
+        assert abs(cert.b[0, 0] - 0.5) <= 1e-4
+        assert cert.strictly_valid()
 
     def test_just_over_boundary_refuted_in_continuation(self):
         with pytest.raises(DomainError, match="not positive definite at depth"):
@@ -206,9 +210,63 @@ class TestAndoComplete:
         assert peak < 200_000
 
     def test_budget_exhaustion(self, monkeypatch):
+        # (0.3, 0.4) needs 12 Newton steps; no depth up to 64 refutes it.
+        monkeypatch.setattr(shorted_mod, "NEWTON_BUDGET", 4)
         monkeypatch.setattr(shorted_mod, "PEEL_BUDGET", 64)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="fixed-point iteration"):
             ando_complete(scalars(0.3, 0.4))
+
+
+@pytest.mark.parametrize("values", [(0.3, 0.4), (0.5,)])
+def test_fixed_point_needs_few_newton_steps(monkeypatch, values):
+    # The peel took 8,192 level steps here; a linear-rate loop would not fit 16.
+    monkeypatch.setattr(shorted_mod, "NEWTON_BUDGET", 16)
+    cert = ando_complete(scalars(*values))
+    assert cert.epsilon_used == 0.0 and cert.strictly_valid()
+
+
+def peel_reference(t: MatrixTuple, tol: float) -> np.ndarray:
+    """The retired continuation: shift-free pivots, margin checked at doubling depths."""
+    eye = np.eye(t.p, dtype=np.complex128)
+    checkpoint = 16
+    for depth, x in enumerate(_level_pivots(t)):
+        if depth >= checkpoint:
+            if _arrowhead_margin(eye - x, t.a, x) >= -tol:
+                return x
+            checkpoint *= 2
+    raise AssertionError("band lost positivity")
+
+
+def unitary(rng, p):
+    q, r = np.linalg.qr(random_matrix(rng, p))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), p=st.integers(1, 3), rho=st.floats(0.97, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_fixed_point_of_conjugated_diagonal_tuples(n, p, rho, seed):
+    """a_j = U diag(c_j) U*: the maximal solution is U diag((1 + sqrt(1 - 4 |c^(k)|^2)) / 2) U*."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
+    c *= 0.5 * rho / np.linalg.norm(c, axis=0).max()
+    u = unitary(rng, p)
+    t = MatrixTuple.from_arrays([u @ np.diag(cj) @ u.conj().T for cj in c])
+    roots = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * np.linalg.norm(c, axis=0) ** 2))
+    fixed = (u * (0.5 * (1.0 + roots))) @ u.conj().T
+
+    b, margin = _fixed_point(t, 1e-8)
+    a = np.eye(p, dtype=np.complex128) - b
+    cert = AndoCertificate(a=a, b=b, arrowhead=arrowhead_matrix(a, t.a, b), margin=margin,
+                           epsilon_used=0.0, depth_used=6, arms=t)
+    code, report = _verify_certificate(certificate_to_json(cert), RunConfig())
+    assert code == 0 and report["valid"]
+    assert np.array_equal(a + b, np.eye(p))
+    # Largest distances seen over 300 such examples: 6.1e-5 to the closed form (at
+    # rho = 1, where the stopping rule halts about sqrt(tol) above it), 8.1e-8 to the peel.
+    assert np.linalg.norm(b - fixed, 2) <= 1e-4
+    if rho < 1.0:
+        assert np.linalg.norm(b - peel_reference(t, 1e-8), 2) <= 2e-7
 
 
 def dense_vacuum_short(band: np.ndarray, p: int) -> np.ndarray:
@@ -273,36 +331,8 @@ def test_band_min_eig_exact_and_degenerate_cases(rng):
             assert band_min_eig(u, depth) == pytest.approx(lam_min(band), abs=1e-12)
 
 
-class TestSelfSimilarity:
-    def test_zero_tuple_is_fixed(self):
-        rep = self_similarity_check(scalars(0.0, 0.0), depth=4)
-        assert rep.depths == (1, 2, 3, 4)
-        for s in rep.shorts:
-            assert np.array_equal(s, np.eye(1, dtype=np.complex128))
-        assert rep.drifts == (0.0, 0.0, 0.0)
-        assert rep.final_drift == 0.0
-
-    def test_interior_scalar_converges(self):
-        rep = self_similarity_check(scalars(0.4), depth=12)
-        assert rep.final_drift < 1e-6
-        assert rep.shorts[-1][0, 0].real == pytest.approx(0.8, abs=1e-6)
-        for a, b in zip(rep.drifts, rep.drifts[1:]):
-            assert b < a
-
-    def test_two_letter_converges(self):
-        rep = self_similarity_check(scalars(0.3, 0.3), depth=8)
-        fixed = 0.5 * (1.0 + np.sqrt(1.0 - 4.0 * 0.18))
-        assert rep.shorts[-1][0, 0].real == pytest.approx(fixed, abs=1e-4)
-        for a, b in zip(rep.drifts, rep.drifts[1:]):
-            assert b < a
-
-    def test_rejects_nonpositive_band(self):
-        with pytest.raises(DomainError):
-            self_similarity_check(scalars(1.0), depth=3)
-
-
 @pytest.mark.parametrize("entry", [
-    band_min_eig, first_nonpositive_depth, self_similarity_check,
+    band_min_eig, first_nonpositive_depth,
     lambda t, depth: ando_complete(t, depth=depth),
 ])
 def test_recursion_entries_check_depth(entry):
