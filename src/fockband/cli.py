@@ -124,7 +124,7 @@ def _cmd_ando_complete(args, cfg: RunConfig) -> tuple[int, dict]:
 def _cmd_en_decompose(args, cfg: RunConfig) -> tuple[int, dict]:
     e = serialize.en_element_from_json(_load_payload(args))
     epsilon = cfg.epsilon if cfg.epsilon is not None else 1e-6
-    dec = ensys.en_decompose(e, epsilon=epsilon, tol=cfg.tol)
+    dec = ensys.en_decompose(e, epsilon=epsilon)
     return 0, serialize.decomposition_to_json(dec, e)
 
 
@@ -274,8 +274,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once: parse_args leaves the parser unchanged, so calls share it.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = build_config(args)
         code, report = _COMMANDS[args.verb](args, cfg)

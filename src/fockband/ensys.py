@@ -163,7 +163,7 @@ class EnDecomposition:
         return out
 
 
-def en_decompose(e: EnElement, epsilon: float = 1e-6, tol: float = 1e-8) -> EnDecomposition:
+def en_decompose(e: EnElement, epsilon: float = 1e-6) -> EnDecomposition:
     """Decompose the ep-shifted arrowhead into the fixed pattern against Q."""
     if epsilon < 0:
         raise InputError(f"epsilon must be nonnegative, got {epsilon}")

@@ -84,7 +84,7 @@ def _check_theta_points(theta_points: int) -> None:
         raise InputError(f"theta_points must be >= 8, got {theta_points}")
 
 
-def _angle_sweep(t_mat, theta_points: int, refine: bool) -> float:
+def _angle_sweep(t_mat, theta_points: int) -> float:
     """Best lower bound for max_theta lam_max(Re(e^{i theta} T))."""
     _check_theta_points(theta_points)
     t_adj = t_mat.conj().T
@@ -96,8 +96,6 @@ def _angle_sweep(t_mat, theta_points: int, refine: bool) -> float:
     step = 2.0 * math.pi / theta_points
     vals = np.array([f(k * step) for k in range(theta_points)])
     best = float(vals.max())
-    if not refine:
-        return best
     # Refine the two strongest circular-grid lobes; a single lobe can lose
     # the true maximum when two lobes nearly tie at grid resolution.
     is_peak = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
@@ -130,12 +128,12 @@ def _golden_max(f, lo: float, hi: float, interval_tol: float = 1e-7) -> float:
     return best
 
 
-def numerical_radius(t, theta_points: int = THETA_POINTS, refine: bool = True) -> RadiusEstimate:
+def numerical_radius(t, theta_points: int = THETA_POINTS) -> RadiusEstimate:
     """Angle-grid bracket for the numerical radius of a single operator."""
     t = as_matrix(t, "operator")
     if t.shape[0] != t.shape[1]:
         raise InputError(f"numerical radius requires a square matrix, got shape {t.shape}")
-    lower = _angle_sweep(t, theta_points, refine)
+    lower = _angle_sweep(t, theta_points)
     slack = op_norm(t) * math.pi / theta_points
     return RadiusEstimate(lower=float(lower), grid_upper=float(lower + slack),
                           depth=None, theta_points=theta_points)

@@ -14,10 +14,12 @@ so its block LDL* taken from the leaves up has one pivot per level:
 
 for the shifted band ``band_d - mu I``.  By Sylvester that operator is
 positive definite exactly when X_0..X_d are, and its short onto the
-vacuum block is X_d.  Per-depth positivity, every vacuum short below and
-the band's least eigenvalue (the root of lam_min(X_d(mu)), found by
-Newton) run through this recursion in p x p arithmetic; the band itself
-is never built, so a request is bounded by its depth alone (``check_depth``).
+vacuum block is X_d.  One walker, ``_walk``, runs this recursion in p x p
+arithmetic and stops at the first pivot that is not positive definite.
+Per-depth positivity, the vacuum short and the band's least eigenvalue
+(the root of lam_min(X_d(mu)), found by Newton with the walker's slope)
+are all read off it; the band itself is never built, so a request is
+bounded by its depth alone (``check_depth``).
 
 Completion turns that machinery into a positivity certificate for a
 matrix tuple.  Short the epsilon-shrunk truncated band operator onto the
@@ -38,10 +40,7 @@ X + sum_i a_i X^{-1} a_i* = I, which Newton's method reaches instead.
 from __future__ import annotations
 
 import math
-from collections import deque
-from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -215,55 +214,44 @@ def _row_and_adjoints(t: MatrixTuple) -> tuple[np.ndarray, np.ndarray]:
     return np.hstack(t.a), np.hstack([m.conj().T for m in t.a])
 
 
-def _level_step(x: np.ndarray, base: np.ndarray, row: np.ndarray, adj: np.ndarray,
-                dx: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """One level of bottom-up elimination: X -> base - sum a_i X^{-1} a_i*.
+def _positive_definite(x: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(x)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
-    Given ``dx`` = dX/dmu, the next level's -I + sum_i C_i* dX C_i with
-    C_i = X^{-1} a_i* comes along.  Raises LinAlgError when X is not
-    positive definite: the band at the current depth has a nonpositive pivot.
-    """
-    np.linalg.cholesky(x)
+
+def _gains(x: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """The gains K_i = X^{-1} a_i*, stacked n x p x p."""
     p = x.shape[0]
-    c = np.linalg.solve(x, adj).reshape(p, -1, p).swapaxes(0, 1)
-    stacked = c.reshape(-1, p)
-    out = base - row @ stacked
-    if dx is not None:
-        dx = stacked.conj().T @ (dx @ c).reshape(-1, p) - np.eye(p)
-    return 0.5 * (out + out.conj().T), dx
+    return np.linalg.solve(x, adj).reshape(p, -1, p).swapaxes(0, 1)
 
 
-def _level_pivots(t: MatrixTuple, shift: float = 0.0) -> Iterator[np.ndarray]:
-    """Yield the pivots X_0, X_1, .. of ``band - shift * I``, leaves up.
+def _walk(stacks: tuple[np.ndarray, np.ndarray], depth: int, shift: float = 0.0,
+          slope: bool = False) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """Walk X_0 = (1 - shift) I, X_{k+1} = X_0 - sum a_i X_k^{-1} a_i* up to X_depth.
 
-    A pivot is yielded once the step past it has factored it, so every
-    yielded X_k is positive definite; the iteration stops at the first
-    pivot that is not.
+    ``stacks`` is ``_row_and_adjoints(t)``.  Returns ``(depth, X_depth, dX_depth)``
+    when X_0..X_{depth-1} are positive definite, so that X_depth is the vacuum
+    short of ``band_depth - shift * I`` if it is positive definite itself; else
+    ``(k, X_k, dX_k)`` at the first k < depth whose X_k is not.  With ``slope``,
+    dX = dX/dshift comes along as -I + sum_i K_i* dX K_i; otherwise it is None.
     """
-    base = (1.0 - shift) * np.eye(t.p, dtype=np.complex128)
-    row, adj = _row_and_adjoints(t)
-    x = base
-    while True:
-        try:
-            after, _ = _level_step(x, base, row, adj)
-        except np.linalg.LinAlgError:
-            return
-        yield x
-        x = after
-
-
-def _newton_pass(t: MatrixTuple, depth: int, mu: float, row: np.ndarray,
-                 adj: np.ndarray) -> tuple[float, float]:
-    """f(mu) = lam_min(X_depth(mu)) and a slope of f there.
-
-    Raises LinAlgError when mu lies past the pole lam_min(band_{depth-1}) of f.
-    """
-    base = (1.0 - mu) * np.eye(t.p, dtype=np.complex128)
-    x, dx = base, -np.eye(t.p)
-    for _ in range(depth):
-        x, dx = _level_step(x, base, row, adj, dx)
-    w, v = np.linalg.eigh(x)
-    return float(w[0]), float(np.real(np.vdot(v[:, 0], dx @ v[:, 0])))
+    row, adj = stacks
+    p = row.shape[0]
+    base = (1.0 - shift) * np.eye(p, dtype=np.complex128)
+    x, dx = base, (-np.eye(p) if slope else None)
+    for k in range(depth):
+        if not _positive_definite(x):
+            return k, x, dx
+        c = _gains(x, adj)
+        stacked = c.reshape(-1, p)
+        if slope:
+            dx = stacked.conj().T @ (dx @ c).reshape(-1, p) - np.eye(p)
+        out = base - row @ stacked
+        x = 0.5 * (out + out.conj().T)
+    return depth, x, dx
 
 
 def band_min_eig(t: MatrixTuple, depth: int) -> float:
@@ -282,17 +270,18 @@ def band_min_eig(t: MatrixTuple, depth: int) -> float:
     r = math.sqrt(max(0.0, float(np.linalg.eigvalsh(t.row_gram())[-1])))
     if depth == 0 or r == 0.0:
         return 1.0
-    row, adj = _row_and_adjoints(t)
+    stacks = _row_and_adjoints(t)
     lo, hi = 1.0 - 2.0 * r * math.cos(math.pi / (depth + 2)), 1.0 - r
     # Resolution of mu and of the shifted diagonal 1 - mu on the bracket.
     tol = 4.0 * np.finfo(float).eps * max(1.0, r)
     mu, newton = lo, False
     for _ in range(NEWTON_BUDGET):
-        try:
-            f, slope = _newton_pass(t, depth, mu, row, adj)
-        except np.linalg.LinAlgError:
+        k, x, dx = _walk(stacks, depth, mu, slope=True)
+        if k < depth:  # mu lies past the pole lam_min(band_{depth-1}) of f
             hi = mu
         else:
+            w, v = np.linalg.eigh(x)
+            f, slope = float(w[0]), float(np.real(np.vdot(v[:, 0], dx @ v[:, 0])))
             nxt = mu - f / slope
             # A Newton iterate lies right of the root, so f >= 0 there is rounding.
             if abs(nxt - mu) <= tol or (newton and f >= 0.0):
@@ -308,21 +297,12 @@ def band_min_eig(t: MatrixTuple, depth: int) -> float:
         f"least band eigenvalue at depth {depth} not converged after {NEWTON_BUDGET} passes")
 
 
-def _pivots_to(t: MatrixTuple, depth: int, shift: float = 0.0) -> Iterator[np.ndarray]:
-    """Yield X_0..X_depth; DomainError unless ``band_depth - shift * I`` is positive definite."""
-    count = 0
-    for count, x in enumerate(islice(_level_pivots(t, shift), depth + 1), 1):
-        yield x
-    if count <= depth:
-        raise DomainError(f"band operator is not positive definite at depth {count} "
-                          f"(shift {shift:.3e})")
-
-
 def first_nonpositive_depth(t: MatrixTuple, max_depth: int, shift: float = 0.0) -> int | None:
     """Least d <= max_depth with ``band_d - shift * I`` not positive definite, else None."""
     check_depth(max_depth)
-    count = sum(1 for _ in islice(_level_pivots(t, shift), max_depth + 1))
-    return count if count <= max_depth else None
+    # band_d - shift * I is positive definite exactly when X_0..X_d are.
+    k, _, _ = _walk(_row_and_adjoints(t), max_depth + 1, shift)
+    return k if k <= max_depth else None
 
 
 def _arrowhead_margin(a0: np.ndarray, arms, diag: np.ndarray) -> float:
@@ -360,7 +340,10 @@ def ando_complete(t: MatrixTuple, depth: int = 6, epsilon: float | None = None,
             f"epsilon must lie in (0, {band_margin:.3e}), got {epsilon:.3e}")
 
     p = t.p
-    b = deque(_pivots_to(t, depth, shift=epsilon), maxlen=1)[0]  # X_depth alone is kept
+    k, b, _ = _walk(_row_and_adjoints(t), depth, epsilon)
+    if k < depth or not _positive_definite(b):
+        raise DomainError(f"band operator is not positive definite at depth {k} "
+                          f"(shift {epsilon:.3e})")
     margin = _arrowhead_margin(np.eye(p) - b, t.a, b)
     if auto and margin < -tol:
         b, margin = _fixed_point(t, tol)
@@ -386,7 +369,7 @@ def _fixed_point(t: MatrixTuple, tol: float) -> tuple[np.ndarray, float]:
     for _ in range(NEWTON_BUDGET):
         try:
             np.linalg.cholesky(x)
-            k = np.linalg.solve(x, adj).reshape(p, -1, p).swapaxes(0, 1)
+            k = _gains(x, adj)
             stein = np.eye(p * p) - sum(np.kron(m.conj().T, m.T) for m in k)
             h = np.linalg.solve(stein, np.ravel(eye - x - row @ k.reshape(-1, p))).reshape(p, p)
         except np.linalg.LinAlgError:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fockband import MatrixTuple, ando_complete, dilation, en_decompose, en_element, radius
-from fockband.cli import main
+from fockband.cli import _COMMANDS, main
 from fockband.radius import LADDER_BUDGET
 from fockband.serialize import (certificate_to_json, decomposition_to_json, matrix_to_json,
                                 tuple_to_json)
@@ -251,6 +251,21 @@ class TestDilateAndLift:
 
 
 class TestErrorsAndConfig:
+    def test_back_to_back_calls_leak_no_flags(self, run):
+        # The parser is built once, at import; a flag given to one call must not stick.
+        t = scalar_tuple_json(0.3, 0.4)
+        assert json.loads(run(["dilate", "--depth", "3"], t)[1])["depth"] == 3
+        assert json.loads(run(["dilate"], t)[1])["depth"] == 4
+        assert json.loads(run(["joint-radius", "--theta-points", "16"], t)[1])["theta_points"] == 16
+        assert json.loads(run(["joint-radius"], t)[1])["theta_points"] == 720
+
+    @pytest.mark.parametrize("verb", sorted(_COMMANDS))
+    def test_verb_help_exits_0(self, verb, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--help"])
+        assert exc.value.code == 0
+        assert f"fockband {verb}" in capsys.readouterr().out
+
     def test_malformed_json(self, run, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("{broken"))
         code = main(["check-row"])

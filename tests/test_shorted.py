@@ -13,9 +13,8 @@ from fockband import (AndoCertificate, BlockSplit, CapacityError, ConvergenceErr
 from fockband.fock import band_operator_sparse, fock_dim, make_fock
 from fockband.cli import RunConfig, _verify_certificate
 from fockband.serialize import certificate_to_json
-from fockband.shorted import (PEEL_BUDGET, _arrowhead_margin, _fixed_point, _level_pivots,
-                              _level_step, _pivots_to, _row_and_adjoints, band_min_eig,
-                              first_nonpositive_depth)
+from fockband.shorted import (PEEL_BUDGET, _arrowhead_margin, _fixed_point, _row_and_adjoints,
+                              _walk, band_min_eig, first_nonpositive_depth)
 
 from support import random_matrix, random_psd, random_tuple
 
@@ -228,12 +227,15 @@ def test_fixed_point_needs_few_newton_steps(monkeypatch, values):
 def peel_reference(t: MatrixTuple, tol: float) -> np.ndarray:
     """The retired continuation: shift-free pivots, margin checked at doubling depths."""
     eye = np.eye(t.p, dtype=np.complex128)
+    stacks = _row_and_adjoints(t)
     checkpoint = 16
-    for depth, x in enumerate(_level_pivots(t)):
-        if depth >= checkpoint:
-            if _arrowhead_margin(eye - x, t.a, x) >= -tol:
-                return x
-            checkpoint *= 2
+    while checkpoint <= PEEL_BUDGET:
+        depth, x, _ = _walk(stacks, checkpoint)
+        if depth < checkpoint:
+            break
+        if _arrowhead_margin(eye - x, t.a, x) >= -tol:
+            return x
+        checkpoint *= 2
     raise AssertionError("band lost positivity")
 
 
@@ -279,11 +281,10 @@ def dense_vacuum_short(band: np.ndarray, p: int) -> np.ndarray:
 def test_peel_matches_global_short(rng):
     t = random_tuple(rng, 2, 2, scale=0.2)
     p = t.p
-    base = np.eye(p, dtype=np.complex128)
-    row, adj = _row_and_adjoints(t)
-    x = base.copy()
+    stacks = _row_and_adjoints(t)
     for depth in range(1, 6):
-        x, _ = _level_step(x, base, row, adj)
+        k, x, _ = _walk(stacks, depth)
+        assert k == depth
         band = band_operator_sparse(make_fock(t.n, depth), t).toarray()
         b = dense_vacuum_short(band, p)
         assert np.linalg.norm(x - b, 2) <= 1e-12
@@ -302,7 +303,8 @@ def test_level_recursion_matches_dense_band(n, p, depth, seed, scale, mu):
     expected = next((d for d, m in enumerate(mins) if m < mu), None)
     assert first_nonpositive_depth(t, depth, shift=mu) == expected
     if expected is None:
-        vacuum = list(_pivots_to(t, depth, shift=mu))[-1]
+        k, vacuum, _ = _walk(_row_and_adjoints(t), depth, shift=mu)
+        assert k == depth
         shifted = band - mu * np.eye(band.shape[0])
         assert np.linalg.norm(vacuum - dense_vacuum_short(shifted, p), 2) <= 1e-12
 
