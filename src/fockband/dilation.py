@@ -20,15 +20,18 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DomainError, InputError
 from .fock import MatrixTuple, capped_dim, fock_dim, make_fock
 from .linalg import hermitize
 from .radius import LADDER_BUDGET, THETA_POINTS, joint_numerical_radius
 from .shorted import check_depth
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: Eigenvalues of the defect below this count as zero for the rank report.
 DEFECT_RANK_TOL = 1e-10
@@ -55,6 +58,7 @@ def bunce_dilate(t: MatrixTuple, depth: int, tol: float = 1e-8) -> DilationResul
     Top-level columns are zeroed, mirroring the truncation convention of
     the word space itself.
     """
+    import scipy.sparse as sp
     n, p = t.n, t.p
     if depth < 1:
         raise InputError(f"dilation depth must be >= 1 (the defect enters at level 1), got {depth}")
@@ -113,10 +117,14 @@ def verify_dilation(r: DilationResult, t: MatrixTuple, max_word: int = 3) -> Dil
     A-word, over words of length up to min(max_word, depth).  Words act
     on the original block only, so each word costs one sparse apply to a
     column slab instead of a full matrix product; no gram is densified.
+    ``max_word == 0`` checks the isometry relations alone.
     """
+    import scipy.sparse as sp
     n, p = t.n, t.p
     if len(r.V) != n or r.p != p:
         raise InputError("dilation and tuple shapes do not match")
+    if max_word < 0:
+        raise InputError(f"max_word must be >= 0, got {max_word}")
     dim = r.V[0].shape[0]
     inner = make_fock(n, r.depth).inner_dim() * p
     proj = sp.diags((np.arange(dim) < inner).astype(float), format="csr")

@@ -20,9 +20,9 @@ trusted from their construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DomainError, InputError
 from .fock import MatrixTuple, make_fock, cuntz_isometries
@@ -30,6 +30,9 @@ from .linalg import as_matrix, hermitize, kron, psd_margin
 from .radius import (CERTIFIED_NO, CERTIFIED_YES, UNDECIDED, ContractionVerdict,
                      is_dual_row_contraction)
 from .shorted import arrowhead_matrix
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: Shift ladder for positivity of dual elements with a general diagonal.
 EPSILON_LADDER = (1e-2, 1e-4, 1e-6)
@@ -86,6 +89,7 @@ def phi_apply(e: EnElement) -> PhiImage:
 
 def image_operator(img: PhiImage, depth: int) -> sp.csr_matrix:
     """Realize a quotient image on the depth-``depth`` truncation."""
+    import scipy.sparse as sp
     n = len(img.s)
     f = make_fock(n, depth)
     iso = cuntz_isometries(f)

@@ -15,18 +15,22 @@ which the relation tests rely on.
 
 A matrix tuple (``MatrixTuple``) supplies the p x p coefficients of the
 band operator, whose assemblies here are the reference for tests.  Only
-the word-space builders are size-guarded (``capped_dim``).
+the word-space builders are size-guarded (``capped_dim``), and only they
+import scipy.sparse, at first use, so importing the package does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapacityError, InputError
 from .linalg import as_matrix
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: Cap on the dimension of a word space built by ``make_fock``.
 DIM_CAP = 200_000
@@ -130,6 +134,7 @@ class CuntzIsometries:
 
 def cuntz_isometries(f: TruncatedFock) -> CuntzIsometries:
     """Generator matrices ``S_i : e_k -> e_{k n + i}`` at the truncation."""
+    import scipy.sparse as sp
     ops = []
     for i in range(1, f.n + 1):
         cols = np.arange(f.dim, dtype=np.int64)
@@ -167,6 +172,7 @@ def band_operator(f: TruncatedFock, arms) -> np.ndarray:
 
 def band_operator_sparse(f: TruncatedFock, arms) -> sp.csr_matrix:
     """Sparse version of ``band_operator``; reference assembly for tests."""
+    import scipy.sparse as sp
     mats = _coerce_arms(arms, f.n)
     p = mats[0].shape[0]
     iso = cuntz_isometries(f)
@@ -178,6 +184,7 @@ def band_operator_sparse(f: TruncatedFock, arms) -> sp.csr_matrix:
 
 def coupling_operator_sparse(f: TruncatedFock, arms) -> sp.csr_matrix:
     """Sparse ``sum_j S_j (x) a_j*``, the lower half of the band."""
+    import scipy.sparse as sp
     mats = _coerce_arms(arms, f.n)
     p = mats[0].shape[0]
     iso = cuntz_isometries(f)
@@ -203,6 +210,6 @@ def compress(a, f: TruncatedFock, depth: int):
         raise InputError(f"matrix size {size} is not a multiple of the word-space dimension {f.dim}")
     p = size // f.dim
     cut = fock_dim(f.n, depth) * p
-    if sp.issparse(a):
+    if hasattr(a, "tocsr"):
         return a.tocsr()[:cut, :cut]
     return np.asarray(a)[:cut, :cut]

@@ -6,8 +6,9 @@ exactly Hermitian matrix.  ``psd_margin`` reports the minimal eigenvalue
 together with the tolerance that was used, so callers never compare
 against an implicit zero.
 
-scipy.sparse input is converted to a dense array once, in ``as_matrix``,
-so every helper here runs dense LAPACK.  No band operator comes here:
+Sparse input (anything with ``toarray``, scipy.sparse included) is
+converted to a dense array once, in ``as_matrix``, so every helper here
+runs dense LAPACK without importing scipy.  No band operator comes here:
 its positivity, vacuum shorts and least eigenvalue are p x p level
 recursions in the shorted module.
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputError
 
@@ -26,11 +26,11 @@ PINV_CUTOFF = 1e-10
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and convert input (scipy.sparse included) to a 2d complex128 array.
+    """Validate and convert input (``toarray`` is called if present) to a 2d complex128 array.
 
     Raises InputError on non-2d shapes or non-finite entries.
     """
-    m = np.asarray(a.toarray() if sp.issparse(a) else a, dtype=np.complex128)
+    m = np.asarray(a.toarray() if hasattr(a, "toarray") else a, dtype=np.complex128)
     if m.ndim != 2:
         raise InputError(f"{name} must be 2-dimensional, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):

@@ -179,16 +179,30 @@ def is_dual_row_contraction(t: MatrixTuple, max_depth: int = MAX_DEPTH,
     untruncated statement).  If no depth refutes, a completion certificate
     is attempted at the deepest truncation; only a strictly valid
     certificate upgrades the verdict to certified_yes.
+
+    When the scan flags no depth, the certificate is built first and the
+    margin at max_depth is read back from it: ``ando_complete`` sets
+    ``epsilon_used`` to exactly half the band's least eigenvalue, so the
+    margin is ``2 * epsilon_used`` and that eigenvalue is solved once.
+    Only without a certificate, or with a fixed-point one
+    (``epsilon_used == 0``), is ``band_min_eig`` solved here.
     """
     first_bad = first_nonpositive_depth(t, max_depth, shift=-tol)
-    for d in range(max_depth if first_bad is None else first_bad, max_depth + 1):
-        margin = band_min_eig(t, d)
-        if margin < -tol:
-            return ContractionVerdict(status=CERTIFIED_NO, margin=float(margin), depth=d)
+    margin = None
+    if first_bad is not None:
+        for d in range(first_bad, max_depth + 1):
+            margin = band_min_eig(t, d)
+            if margin < -tol:
+                return ContractionVerdict(status=CERTIFIED_NO, margin=float(margin), depth=d)
     try:
         cert = ando_complete(t, depth=max_depth, tol=tol)
     except (ConvergenceError, DomainError):
         cert = None
+    if margin is None:
+        margin = (2.0 * cert.epsilon_used if cert is not None and cert.epsilon_used > 0.0
+                  else band_min_eig(t, max_depth))
+        if margin < -tol:
+            return ContractionVerdict(status=CERTIFIED_NO, margin=float(margin), depth=max_depth)
     if cert is not None and cert.strictly_valid(tol):
         return ContractionVerdict(status=CERTIFIED_YES, margin=float(margin),
                                   depth=max_depth, certificate=cert)

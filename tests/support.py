@@ -19,6 +19,11 @@ def random_tuple(rng: np.random.Generator, n: int, p: int, scale: float = 1.0) -
     return MatrixTuple.from_arrays([random_matrix(rng, p, scale) for _ in range(n)])
 
 
+def unitary(rng: np.random.Generator, p: int) -> np.ndarray:
+    q, r = np.linalg.qr(random_matrix(rng, p))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
 def random_psd(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
     if rank is None:
         rank = dim

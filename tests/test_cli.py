@@ -240,6 +240,14 @@ class TestDilateAndLift:
         assert report["compression_deviation"] <= 1e-9
         assert report["words_checked"] == 14
 
+    def test_dilate_max_word_zero(self, run):
+        code, out = run(["dilate", "--depth", "3", "--max-word", "0"],
+                        scalar_tuple_json(0.3, 0.4))
+        assert code == 0
+        report = json.loads(out)
+        assert report["words_checked"] == 0
+        assert report["isometry_deviation"] <= 1e-10
+
     def test_lift(self, run):
         payload = {"block_sizes": [1, 1], "ideal": [1],
                    "tuple": scalar_tuple_json(0.3, 0.4)}
@@ -297,6 +305,7 @@ class TestErrorsAndConfig:
         (["lift", "--depth", "-1"], {"block_sizes": [1, 1], "ideal": [1],
                                      "tuple": scalar_tuple_json(0.3, 0.4)}),
         (["sweep", "--depth", "-1"], scalar_tuple_json(0.3, 0.4)),
+        (["dilate", "--max-word", "-1"], scalar_tuple_json(0.3, 0.4)),
     ])
     def test_negative_depth_exits_3(self, run, argv, payload):
         code, out = run(argv, payload)

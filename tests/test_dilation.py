@@ -59,6 +59,19 @@ class TestBunceDilate:
         with pytest.raises(InputError):
             bunce_dilate(scalars(0.3, 0.4), depth=0)
 
+    def test_negative_max_word_is_rejected(self):
+        # Checking no word at all must not pass as a verification.
+        t = scalars(0.3, 0.4)
+        with pytest.raises(InputError):
+            verify_dilation(bunce_dilate(t, depth=3), t, max_word=-1)
+
+    def test_max_word_zero_checks_isometries_only(self):
+        t = scalars(0.3, 0.4)
+        rep = verify_dilation(bunce_dilate(t, depth=3), t, max_word=0)
+        assert rep.words_checked == 0
+        assert rep.compression_deviation == 0.0
+        assert rep.isometry_deviation <= 1e-10
+
     def test_deep_verification_stays_sparse(self):
         # 16,383 rows: a dense gram deviation would take 4.3 GB.
         t = scalars(0.3, 0.4)

@@ -114,3 +114,19 @@ def test_import_loads_no_sparse_eigensolver():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_scipy_sparse_to_dilate():
+    # Only the word-space builders need scipy.sparse; the verbs that recurse on p x p
+    # levels must not pay its import.
+    src = os.path.dirname(os.path.dirname(fockband.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, numpy as np, fockband, fockband.cli\n"
+            "before = 'scipy.sparse' in sys.modules\n"
+            "t = fockband.MatrixTuple.from_arrays([np.array([[0.3]]), np.array([[0.4]])])\n"
+            "rep = fockband.verify_dilation(fockband.bunce_dilate(t, 3), t)\n"
+            "print(before, 'scipy.sparse' in sys.modules, rep.words_checked,\n"
+            "      rep.isometry_deviation <= 1e-10 and rep.compression_deviation <= 1e-10)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.split() == ["False", "True", "14", "True"]

@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fockband import (CERTIFIED_NO, CERTIFIED_YES, UNDECIDED,
-                      MatrixTuple, ando_complete, band_operator, coupling_operator_sparse,
-                      dual_implies_row, is_dual_row_contraction, is_row_contraction,
+from fockband import (CERTIFIED_NO, CERTIFIED_YES, UNDECIDED, ContractionVerdict,
+                      ConvergenceError, DomainError, MatrixTuple, ando_complete,
+                      band_operator, coupling_operator_sparse, dual_implies_row,
+                      is_dual_row_contraction, is_row_contraction,
                       joint_numerical_radius, lam_min, make_fock,
-                      numerical_radius)
+                      numerical_radius, radius, shorted)
+from fockband.shorted import band_min_eig, first_nonpositive_depth
 
-from support import random_tuple
+from support import random_row_contraction, random_tuple, unitary
 
 
 def scalars(*values):
@@ -188,6 +190,97 @@ class TestDualRowContraction:
         v = is_dual_row_contraction(scalars(0.3, 0.4), max_depth=30)
         assert v.status == CERTIFIED_YES
         assert v.depth == 30
+
+
+def two_solve_verdict(t, max_depth, tol):
+    """Reference: the verdict with band_min_eig(max_depth) solved before the completion."""
+    first_bad = first_nonpositive_depth(t, max_depth, shift=-tol)
+    for d in range(max_depth if first_bad is None else first_bad, max_depth + 1):
+        margin = band_min_eig(t, d)
+        if margin < -tol:
+            return ContractionVerdict(status=CERTIFIED_NO, margin=float(margin), depth=d)
+    try:
+        cert = ando_complete(t, depth=max_depth, tol=tol)
+    except (ConvergenceError, DomainError):
+        cert = None
+    if cert is not None and cert.strictly_valid(tol):
+        return ContractionVerdict(status=CERTIFIED_YES, margin=float(margin),
+                                  depth=max_depth, certificate=cert)
+    return ContractionVerdict(status=UNDECIDED, margin=float(margin), depth=max_depth)
+
+
+def conjugated_diagonal(rng, n, p, rho):
+    """a_j = U diag(c_j) U* with joint radius exactly rho / 2."""
+    c = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
+    c *= 0.5 * rho / np.linalg.norm(c, axis=0).max()
+    u = unitary(rng, p)
+    return MatrixTuple.from_arrays([u @ np.diag(cj) @ u.conj().T for cj in c])
+
+
+class TestSingleSolve:
+    """The verdict solves band_min_eig(max_depth) once when its certificate carries epsilon."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        depths = []
+
+        def counting(fn):
+            def wrapper(t, depth):
+                depths.append(depth)
+                return fn(t, depth)
+            return wrapper
+        monkeypatch.setattr(radius, "band_min_eig", counting(radius.band_min_eig))
+        monkeypatch.setattr(shorted, "band_min_eig", counting(shorted.band_min_eig))
+        return depths
+
+    def test_interior_yes_solves_once_at_max_depth(self, solves, rng):
+        v = is_dual_row_contraction(random_row_contraction(rng, 2, 2, norm=0.3), max_depth=5)
+        assert v.status == CERTIFIED_YES
+        assert v.certificate.epsilon_used > 0.0
+        assert v.margin == 2.0 * v.certificate.epsilon_used
+        assert solves == [5]
+
+    def test_refutation_solves_from_first_bad_depth(self, solves):
+        t = scalars(0.9, 0.1)
+        first_bad = first_nonpositive_depth(t, 6, shift=-1e-8)
+        v = is_dual_row_contraction(t)
+        assert v.status == CERTIFIED_NO
+        assert solves == list(range(first_bad, v.depth + 1))
+
+    def test_fixed_point_certificate_solves_twice(self, solves):
+        v = is_dual_row_contraction(scalars(0.3, 0.4))
+        assert v.status == CERTIFIED_YES
+        assert v.certificate.epsilon_used == 0.0
+        assert solves == [6, 6]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), p=st.integers(1, 3), max_depth=st.integers(0, 6),
+       tol=st.sampled_from([0.0, 1e-8]),
+       kind=st.sampled_from(["refuted", "interior", "near", "boundary"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_verdict_matches_two_solve_flow(n, p, max_depth, tol, kind, seed):
+    # The arrowhead at the fixed point is singular, so with tol = 0 a fixed-point fallback
+    # rarely clears margin >= 0, and both flows then scan the whole level budget (seconds).
+    assume(tol > 0.0 or kind in ("refuted", "interior"))
+    rng = np.random.default_rng(seed)
+    if kind == "refuted":
+        t = random_row_contraction(rng, n, p, norm=rng.uniform(1.01, 2.0))
+    elif kind == "interior":
+        t = random_row_contraction(rng, n, p, norm=rng.uniform(0.05, 0.95))
+    else:
+        # Draws within 1e-3 of rho = 1 may scan the whole level budget before refuting.
+        rho = 1.0 if kind == "boundary" else rng.choice([rng.uniform(0.95, 0.999),
+                                                          rng.uniform(1.001, 1.05)])
+        t = conjugated_diagonal(rng, n, p, rho)
+    got, want = is_dual_row_contraction(t, max_depth, tol), two_solve_verdict(t, max_depth, tol)
+    assert (got.status, got.depth, got.margin) == (want.status, want.depth, want.margin)
+    assert (got.certificate is None) == (want.certificate is None)
+    if want.certificate is not None:
+        assert np.array_equal(got.certificate.b, want.certificate.b)
+        assert got.certificate.margin == want.certificate.margin
+        assert got.certificate.epsilon_used == want.certificate.epsilon_used
+        assert got.certificate.depth_used == want.certificate.depth_used
 
 
 class TestDualImpliesRow:

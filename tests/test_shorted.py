@@ -16,7 +16,7 @@ from fockband.serialize import certificate_to_json
 from fockband.shorted import (PEEL_BUDGET, _arrowhead_margin, _fixed_point, _row_and_adjoints,
                               _walk, band_min_eig, first_nonpositive_depth)
 
-from support import random_matrix, random_psd, random_tuple
+from support import random_psd, random_tuple, unitary
 
 
 def scalars(*values):
@@ -237,11 +237,6 @@ def peel_reference(t: MatrixTuple, tol: float) -> np.ndarray:
             return x
         checkpoint *= 2
     raise AssertionError("band lost positivity")
-
-
-def unitary(rng, p):
-    q, r = np.linalg.qr(random_matrix(rng, p))
-    return q * (np.diag(r) / abs(np.diag(r)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
