@@ -55,7 +55,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(data) - set(_CONFIG_CASTS)
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
-        cfg = replace(cfg, **{k: _CONFIG_CASTS[k](v) for k, v in data.items()})
+        for key, val in data.items():
+            cast = _CONFIG_CASTS[key]
+            if isinstance(val, bool) or not isinstance(val, (int,) if cast is int else (int, float)):
+                raise InputError(f"config key {key!r} takes a JSON "
+                                 f"{'integer' if cast is int else 'number'}, got {val!r}")
+            cfg = replace(cfg, **{key: cast(val)})
     for key, cast in _CONFIG_CASTS.items():
         raw = os.environ.get(ENV_PREFIX + key.upper())
         if raw is not None:
@@ -207,12 +212,11 @@ def _verify_certificate(data: dict, cfg: RunConfig) -> tuple[int, dict]:
     cert = serialize.certificate_from_json(data)
     p = cert.a.shape[0]
     sum_gap = float(np.linalg.norm(cert.a + cert.b - np.eye(p), 2))
-    head_margin = psd_margin(cert.arrowhead).min_eigenvalue
     a_min = float(np.linalg.eigvalsh(0.5 * (cert.a + cert.a.conj().T))[0])
     b_min = float(np.linalg.eigvalsh(0.5 * (cert.b + cert.b.conj().T))[0])
-    valid = (sum_gap == 0.0 and head_margin >= -cfg.tol and a_min > 0.0 and b_min > 0.0)
+    valid = (sum_gap == 0.0 and cert.margin >= -cfg.tol and a_min > 0.0 and b_min > 0.0)
     report = {"kind": "ando_certificate", "valid": valid, "sum_gap": sum_gap,
-              "margin": head_margin, "a_min": a_min, "b_min": b_min}
+              "margin": cert.margin, "a_min": a_min, "b_min": b_min}
     return (0 if valid else 1), report
 
 

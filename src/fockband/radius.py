@@ -176,33 +176,23 @@ def is_dual_row_contraction(t: MatrixTuple, max_depth: int = MAX_DEPTH,
     d* upwards (or at max_depth alone when there is no such depth), and one
     below ``-tol`` refutes the claim at that depth (compressions of a
     positive operator stay positive, so the refutation is sound for the
-    untruncated statement).  If no depth refutes, a completion certificate
-    is attempted at the deepest truncation; only a strictly valid
-    certificate upgrades the verdict to certified_yes.
-
-    When the scan flags no depth, the certificate is built first and the
-    margin at max_depth is read back from it: ``ando_complete`` sets
-    ``epsilon_used`` to exactly half the band's least eigenvalue, so the
-    margin is ``2 * epsilon_used`` and that eigenvalue is solved once.
-    Only without a certificate, or with a fixed-point one
-    (``epsilon_used == 0``), is ``band_min_eig`` solved here.
+    untruncated statement).  If no depth refutes and the margin at
+    max_depth exceeds ``tol``, a completion certificate is attempted at
+    max_depth with epsilon half that margin (``ando_complete``'s own
+    default); only a strictly valid certificate upgrades the verdict to
+    certified_yes.
     """
     first_bad = first_nonpositive_depth(t, max_depth, shift=-tol)
-    margin = None
-    if first_bad is not None:
-        for d in range(first_bad, max_depth + 1):
-            margin = band_min_eig(t, d)
-            if margin < -tol:
-                return ContractionVerdict(status=CERTIFIED_NO, margin=float(margin), depth=d)
-    try:
-        cert = ando_complete(t, depth=max_depth, tol=tol)
-    except (ConvergenceError, DomainError):
-        cert = None
-    if margin is None:
-        margin = (2.0 * cert.epsilon_used if cert is not None and cert.epsilon_used > 0.0
-                  else band_min_eig(t, max_depth))
+    for d in range(max_depth if first_bad is None else first_bad, max_depth + 1):
+        margin = band_min_eig(t, d)
         if margin < -tol:
-            return ContractionVerdict(status=CERTIFIED_NO, margin=float(margin), depth=max_depth)
+            return ContractionVerdict(status=CERTIFIED_NO, margin=float(margin), depth=d)
+    cert = None
+    if margin > tol:
+        try:
+            cert = ando_complete(t, depth=max_depth, epsilon=0.5 * margin, tol=tol)
+        except (ConvergenceError, DomainError):
+            pass
     if cert is not None and cert.strictly_valid(tol):
         return ContractionVerdict(status=CERTIFIED_YES, margin=float(margin),
                                   depth=max_depth, certificate=cert)

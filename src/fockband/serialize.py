@@ -22,7 +22,7 @@ from .errors import InputError
 from .ensys import (DualElement, DualMap, EnDecomposition, EnElement, dual_element,
                     dual_map, en_element)
 from .fock import MatrixTuple
-from .linalg import as_matrix
+from .linalg import as_matrix, lam_min
 from .radius import ContractionVerdict, RadiusEstimate
 from .shorted import AndoCertificate, arrowhead_matrix
 
@@ -134,7 +134,6 @@ def certificate_from_json(d: Any) -> AndoCertificate:
         b = matrix_from_json(d["b"], "b")
         arms = MatrixTuple.from_arrays(
             [matrix_from_json(m, f"arms[{i}]") for i, m in enumerate(d["arms"])])
-        margin = float(d["margin"])
         epsilon = float(d["epsilon"])
         depth = int(d["depth"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -142,7 +141,7 @@ def certificate_from_json(d: Any) -> AndoCertificate:
     if a.shape != (arms.p, arms.p) or b.shape != a.shape:
         raise InputError(f"a {a.shape} and b {b.shape} must be {(arms.p, arms.p)} like the arms")
     head = arrowhead_matrix(a, arms.a, b)
-    return AndoCertificate(a=a, b=b, arrowhead=head, margin=margin,
+    return AndoCertificate(a=a, b=b, arrowhead=head, margin=lam_min(head),
                            epsilon_used=epsilon, depth_used=depth, arms=arms)
 
 

@@ -317,27 +317,28 @@ def ando_complete(t: MatrixTuple, depth: int = 6, epsilon: float | None = None,
     operator onto the vacuum block, which is the level pivot X_depth at
     shift epsilon, sets a = 1 - b, and returns the arrowhead together with
     its eigenvalue margin.  ``epsilon`` defaults to half the truncation
-    margin (the band's least eigenvalue, from ``band_min_eig``) and must
-    stay below it so the shrunk band remains positive.
+    margin (the band's least eigenvalue, from ``band_min_eig``).  A given
+    epsilon must lie in (0, 1) and below that margin, so the shrunk band
+    stays positive; the walk raises DomainError at the first pivot where
+    it is not.
 
     Boundary tuples defeat any fixed shallow truncation: their only valid
     pair sits at the fixed point of the level recursion, which the
     depth-L short reaches only as L grows.  So when the arrowhead margin is
-    below -tol, the automatic-epsilon path takes the first Newton iterate
-    for that fixed point whose margin clears -tol (``epsilon_used == 0``,
-    ``depth_used == depth``).  An explicit epsilon is honored literally.
+    below -tol, the first Newton iterate for that fixed point whose margin
+    clears -tol is taken instead (``epsilon_used == 0``,
+    ``depth_used == depth``).
     """
-    band_margin = band_min_eig(t, depth)
-    if band_margin <= tol:
-        raise DomainError(
-            f"band operator not strictly positive at depth {depth} "
-            f"(min eigenvalue {band_margin:.3e}); no completion exists on this truncation")
-    auto = epsilon is None
-    if auto:
+    check_depth(depth)
+    if epsilon is None:
+        band_margin = band_min_eig(t, depth)
+        if band_margin <= tol:
+            raise DomainError(
+                f"band operator not strictly positive at depth {depth} "
+                f"(min eigenvalue {band_margin:.3e}); no completion exists on this truncation")
         epsilon = 0.5 * band_margin
-    if not 0.0 < epsilon < band_margin:
-        raise DomainError(
-            f"epsilon must lie in (0, {band_margin:.3e}), got {epsilon:.3e}")
+    elif not 0.0 < epsilon < 1.0:  # the band's least eigenvalue is at most 1
+        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon:.3e}")
 
     p = t.p
     k, b, _ = _walk(_row_and_adjoints(t), depth, epsilon)
@@ -345,7 +346,7 @@ def ando_complete(t: MatrixTuple, depth: int = 6, epsilon: float | None = None,
         raise DomainError(f"band operator is not positive definite at depth {k} "
                           f"(shift {epsilon:.3e})")
     margin = _arrowhead_margin(np.eye(p) - b, t.a, b)
-    if auto and margin < -tol:
+    if margin < -tol:
         b, margin = _fixed_point(t, tol)
         epsilon = 0.0
     a = np.eye(p, dtype=np.complex128) - b

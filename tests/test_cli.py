@@ -164,13 +164,12 @@ class TestCertificatePipeline:
         assert cert["depth"] == 6
         assert cert["b"]["re"][0][0] == pytest.approx(0.6061966998013524, abs=1e-12)
 
-    def test_explicit_epsilon_near_boundary_is_inconclusive(self, run):
+    def test_explicit_epsilon_near_boundary_matches_default(self, run):
         code, out = run(["ando-complete", "--epsilon", "0.01"],
                         scalar_tuple_json(0.3, 0.4))
-        assert code == 2
-        cert = json.loads(out)
-        assert cert["epsilon"] == 0.01
-        assert cert["margin"] < -1e-8
+        assert code == 0
+        assert (code, out) == run(["ando-complete"], scalar_tuple_json(0.3, 0.4))
+        assert json.loads(out)["epsilon"] == 0.0
 
     def test_over_norm_is_refused(self, run):
         code, out = run(["ando-complete"], scalar_tuple_json(0.6, 0.6))
@@ -403,6 +402,26 @@ class TestErrorsAndConfig:
         assert code == 3
         report = json.loads(out)
         assert report["error"] == "InputError" and key in report["message"]
+
+    @pytest.mark.parametrize("data", [
+        {"tol": "abc"}, {"max_depth": None}, {"theta_points": [1]}, {"max_depth": 2.7},
+        {"tol": True}, {"max_depth": True},
+    ], ids=["tol-string", "max-depth-null", "theta-points-list", "max-depth-float",
+            "tol-bool", "max-depth-bool"])
+    def test_malformed_config_value_exits_3(self, run, tmp_path, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        code, out = run(["check-dual-row", "--config", str(cfg)], scalar_tuple_json(0.3))
+        assert code == 3
+        report = json.loads(out)
+        assert report["error"] == "InputError" and next(iter(data)) in report["message"]
+
+    def test_config_integer_for_float_key(self, run, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 0, "max_depth": 3}))
+        code, out = run(["check-dual-row", "--config", str(cfg)], scalar_tuple_json(0.3))
+        assert code == 0
+        assert json.loads(out)["depth"] == 3
 
     def test_zero_tol_is_accepted(self, run):
         code, out = run(["check-row", "--tol", "0"], scalar_tuple_json(0.3, 0.4))

@@ -218,7 +218,7 @@ def conjugated_diagonal(rng, n, p, rho):
 
 
 class TestSingleSolve:
-    """The verdict solves band_min_eig(max_depth) once when its certificate carries epsilon."""
+    """A verdict that reaches the completion solves band_min_eig once, at max_depth."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -247,11 +247,16 @@ class TestSingleSolve:
         assert v.status == CERTIFIED_NO
         assert solves == list(range(first_bad, v.depth + 1))
 
-    def test_fixed_point_certificate_solves_twice(self, solves):
+    def test_fixed_point_certificate_solves_once(self, solves):
         v = is_dual_row_contraction(scalars(0.3, 0.4))
         assert v.status == CERTIFIED_YES
         assert v.certificate.epsilon_used == 0.0
-        assert solves == [6, 6]
+        assert solves == [6]
+
+    def test_undecided_solves_once(self, solves):
+        v = is_dual_row_contraction(scalars(0.5002))
+        assert v.status == UNDECIDED
+        assert solves == [6]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -97,6 +97,16 @@ class TestCertificateRoundTrip:
         assert back.depth_used == cert.depth_used
         assert back.strictly_valid()
 
+    def test_tampered_margin_is_recomputed(self):
+        t = MatrixTuple.from_arrays([np.array([[0.4]], dtype=complex)])
+        wire = certificate_to_json(ando_complete(t))
+        # a = 0.9, b = 0.1 with arm 0.4: the arrowhead has determinant -0.07.
+        wire["a"]["re"][0][0], wire["b"]["re"][0][0] = 0.9, 0.1
+        wire["margin"] = 1.0
+        back = certificate_from_json(wire)
+        assert back.margin == float(np.linalg.eigvalsh(back.arrowhead)[0]) < 0.0
+        assert not back.strictly_valid()
+
     def test_malformed_rejected(self):
         with pytest.raises(InputError):
             certificate_from_json({"a": {"rows": 1}})

@@ -164,18 +164,31 @@ class TestAndoComplete:
         assert cert.margin == pytest.approx(
             float(np.linalg.eigvalsh(cert.arrowhead)[0]), abs=1e-12)
 
-    def test_explicit_epsilon_is_honored_literally(self):
-        cert = ando_complete(scalars(0.3, 0.4), epsilon=0.01)
-        assert cert.epsilon_used == 0.01
+    def test_explicit_epsilon_falls_back_to_the_fixed_point(self):
+        # The epsilon-short misses the margin, so the fixed point is taken as for automatic epsilon.
+        cert, auto = ando_complete(scalars(0.3, 0.4), epsilon=0.01), ando_complete(scalars(0.3, 0.4))
+        assert np.array_equal(cert.b, auto.b)
+        assert cert.margin == auto.margin
+        assert cert.epsilon_used == 0.0
         assert cert.depth_used == 6
-        assert cert.margin < -1e-8
-        assert not cert.strictly_valid()
+        assert cert.strictly_valid()
+
+    def test_explicit_epsilon_solves_no_band_eigenvalue(self, monkeypatch):
+        def refuse(t, depth):
+            raise AssertionError("band_min_eig called")
+        monkeypatch.setattr(shorted_mod, "band_min_eig", refuse)
+        cert = ando_complete(scalars(0.4), epsilon=0.1)
+        assert cert.epsilon_used == 0.1 and cert.strictly_valid()
+
+    def test_epsilon_past_band_margin_fails_in_the_walk(self):
+        # lam_min(band_6) of (0.4,) is about 0.261: the shrunk band has a pivot that is not pd.
+        with pytest.raises(DomainError, match="not positive definite at depth"):
+            ando_complete(scalars(0.4), epsilon=0.5)
 
     def test_epsilon_out_of_range(self):
-        with pytest.raises(DomainError):
-            ando_complete(scalars(0.4), epsilon=1.5)
-        with pytest.raises(DomainError):
-            ando_complete(scalars(0.4), epsilon=0.0)
+        for epsilon in (0.0, 1.0, 1.5, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="epsilon must lie in"):
+                ando_complete(scalars(0.4), epsilon=epsilon)
 
     def test_over_norm_refused(self):
         with pytest.raises(DomainError):
@@ -331,6 +344,7 @@ def test_band_min_eig_exact_and_degenerate_cases(rng):
 @pytest.mark.parametrize("entry", [
     band_min_eig, first_nonpositive_depth,
     lambda t, depth: ando_complete(t, depth=depth),
+    lambda t, depth: ando_complete(t, depth=depth, epsilon=0.1),
 ])
 def test_recursion_entries_check_depth(entry):
     t = scalars(0.3, 0.4)
