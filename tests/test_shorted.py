@@ -344,7 +344,8 @@ def test_band_min_eig_exact_and_degenerate_cases(rng):
 @pytest.mark.parametrize("entry", [
     band_min_eig, first_nonpositive_depth,
     lambda t, depth: ando_complete(t, depth=depth),
-    lambda t, depth: ando_complete(t, depth=depth, epsilon=0.1),
+    pytest.param(lambda t, depth: ando_complete(t, depth=depth, epsilon=0.1),
+                 id="ando_complete_explicit_epsilon"),
 ])
 def test_recursion_entries_check_depth(entry):
     t = scalars(0.3, 0.4)
