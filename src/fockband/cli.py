@@ -6,7 +6,7 @@ report to stdout, and exits with a code mirroring the verdict semantics:
 * 0: certified_yes, or a successful unconditional computation
 * 1: certified_no, or a domain refutation (input fails the predicate)
 * 2: undecided, or the computation could not converge at these settings
-* 3: malformed input, or a depth past the budget of its verb
+* 3: malformed input or command line, or a depth past the budget of its verb
 
 Configuration precedence is flags over environment (FOCKBAND_* variables)
 over ``--config`` file over defaults.  The ``verify`` verb re-checks an
@@ -35,7 +35,7 @@ _STATUS_EXIT = {radius.CERTIFIED_YES: 0, radius.CERTIFIED_NO: 1, radius.UNDECIDE
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Shared numeric knobs; epsilon=None means half the measured margin."""
+    """Shared knobs; epsilon=None is half the margin in ando-complete, 1e-6 in en-decompose."""
 
     tol: float = 1e-8
     max_depth: int = 6
@@ -88,7 +88,7 @@ def _read_file(path: str) -> str:
 
 
 def _load_payload(args: argparse.Namespace) -> Any:
-    if getattr(args, "input", None):
+    if args.input:
         return serialize.loads(_read_file(args.input))
     return serialize.loads(sys.stdin.read())
 
@@ -150,8 +150,9 @@ def _cmd_cp_check(args, cfg: RunConfig) -> tuple[int, dict]:
 def _cmd_dilate(args, cfg: RunConfig) -> tuple[int, dict]:
     t = serialize.tuple_from_json(_load_payload(args))
     depth = args.depth if args.depth is not None else 4
+    max_word = args.max_word if args.max_word is not None else 3
     result = dilation.bunce_dilate(t, depth, tol=cfg.tol)
-    report = dilation.verify_dilation(result, t, max_word=args.max_word)
+    report = dilation.verify_dilation(result, t, max_word=max_word)
     return 0, {
         "depth": result.depth,
         "defect_rank": result.defect_rank,
@@ -209,15 +210,8 @@ def _cmd_verify(args, cfg: RunConfig) -> tuple[int, dict]:
 
 
 def _verify_certificate(data: dict, cfg: RunConfig) -> tuple[int, dict]:
-    cert = serialize.certificate_from_json(data)
-    p = cert.a.shape[0]
-    sum_gap = float(np.linalg.norm(cert.a + cert.b - np.eye(p), 2))
-    a_min = float(np.linalg.eigvalsh(0.5 * (cert.a + cert.a.conj().T))[0])
-    b_min = float(np.linalg.eigvalsh(0.5 * (cert.b + cert.b.conj().T))[0])
-    valid = (sum_gap == 0.0 and cert.margin >= -cfg.tol and a_min > 0.0 and b_min > 0.0)
-    report = {"kind": "ando_certificate", "valid": valid, "sum_gap": sum_gap,
-              "margin": cert.margin, "a_min": a_min, "b_min": b_min}
-    return (0 if valid else 1), report
+    report = serialize.certificate_from_json(data).verify(cfg.tol)
+    return (0 if report["valid"] else 1), {"kind": "ando_certificate", **report}
 
 
 def _verify_decomposition(data: dict, cfg: RunConfig) -> tuple[int, dict]:
@@ -238,43 +232,43 @@ def _verify_decomposition(data: dict, cfg: RunConfig) -> tuple[int, dict]:
     return (0 if valid else 1), report
 
 
+#: The type of each flag; its dest is the flag name with '_' for '-'.
+_FLAG_TYPES = {"--tol": float, "--epsilon": float, "--max-depth": int, "--depth": int,
+               "--theta-points": int, "--max-word": int, "--csv": str}
+
+#: Each verb's handler and the flags it reads, besides --input and --config.
 _COMMANDS = {
-    "check-row": _cmd_check_row,
-    "check-dual-row": _cmd_check_dual_row,
-    "radius": _cmd_radius,
-    "joint-radius": _cmd_joint_radius,
-    "ando-complete": _cmd_ando_complete,
-    "en-decompose": _cmd_en_decompose,
-    "dual-positive": _cmd_dual_positive,
-    "cp-check": _cmd_cp_check,
-    "dilate": _cmd_dilate,
-    "lift": _cmd_lift,
-    "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
+    "check-row": (_cmd_check_row, ("--tol",)),
+    "check-dual-row": (_cmd_check_dual_row, ("--tol", "--max-depth")),
+    "radius": (_cmd_radius, ("--theta-points",)),
+    "joint-radius": (_cmd_joint_radius, ("--depth", "--theta-points")),
+    "ando-complete": (_cmd_ando_complete, ("--tol", "--depth", "--epsilon")),
+    "en-decompose": (_cmd_en_decompose, ("--epsilon",)),
+    "dual-positive": (_cmd_dual_positive, ("--tol",)),
+    "cp-check": (_cmd_cp_check, ("--tol", "--max-depth")),
+    "dilate": (_cmd_dilate, ("--tol", "--depth", "--max-word")),
+    "lift": (_cmd_lift, ("--theta-points", "--depth")),
+    "sweep": (_cmd_sweep, ("--depth", "--theta-points", "--csv")),
+    "verify": (_cmd_verify, ("--tol",)),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", "-i", help="input JSON file (default: stdin)")
-    common.add_argument("--config", help="RunConfig JSON file")
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--max-depth", dest="max_depth", type=int, default=None)
-    common.add_argument("--theta-points", dest="theta_points", type=int, default=None)
-    common.add_argument("--epsilon", type=float, default=None)
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise InputError(message)  # a usage error exits 3, not argparse's 2
 
-    parser = argparse.ArgumentParser(
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="fockband",
         description="Positivity certificates for band operators over truncated isometries")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in _COMMANDS:
-        sp = sub.add_parser(verb, parents=[common])
-        if verb in {"joint-radius", "ando-complete", "dilate", "lift", "sweep"}:
-            sp.add_argument("--depth", type=int, default=None)
-        if verb == "dilate":
-            sp.add_argument("--max-word", dest="max_word", type=int, default=3)
-        if verb == "sweep":
-            sp.add_argument("--csv", help="write the sweep as CSV to this path")
+    for verb, (_, flags) in _COMMANDS.items():
+        sp = sub.add_parser(verb)
+        sp.add_argument("--input", "-i", help="input JSON file (default: stdin)")
+        sp.add_argument("--config", help="RunConfig JSON file")
+        for flag in flags:
+            sp.add_argument(flag, type=_FLAG_TYPES[flag])
     return parser
 
 
@@ -283,10 +277,10 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         cfg = build_config(args)
-        code, report = _COMMANDS[args.verb](args, cfg)
+        code, report = _COMMANDS[args.verb][0](args, cfg)
     except DomainError as exc:
         code, report = 1, {"error": "DomainError", "message": str(exc)}
     except ConvergenceError as exc:

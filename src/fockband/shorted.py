@@ -96,13 +96,18 @@ class AndoCertificate:
     depth_used: int
     arms: MatrixTuple
 
+    def verify(self, tol: float = 1e-8) -> dict:
+        """Certificate semantics with their numbers: a + b == I exactly, arrowhead
+        margin >= -tol, and the Hermitian parts of a and b strictly positive."""
+        sum_gap = float(np.linalg.norm(self.a + self.b - np.eye(self.a.shape[0]), 2))
+        a_min = float(np.linalg.eigvalsh(0.5 * (self.a + self.a.conj().T))[0])
+        b_min = float(np.linalg.eigvalsh(0.5 * (self.b + self.b.conj().T))[0])
+        valid = sum_gap == 0.0 and self.margin >= -tol and a_min > 0.0 and b_min > 0.0
+        return {"valid": valid, "sum_gap": sum_gap, "margin": self.margin,
+                "a_min": a_min, "b_min": b_min}
+
     def strictly_valid(self, tol: float = 1e-8) -> bool:
-        """Certificate semantics: arrowhead psd and a, b strictly positive."""
-        if self.margin < -tol:
-            return False
-        a_min = float(np.linalg.eigvalsh(self.a)[0])
-        b_min = float(np.linalg.eigvalsh(self.b)[0])
-        return a_min > 0.0 and b_min > 0.0
+        return self.verify(tol)["valid"]
 
 
 def short(split: BlockSplit, cutoff: float = PINV_CUTOFF) -> ShortResult:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fockband import MatrixTuple, ando_complete, dilation, en_decompose, en_element, radius
-from fockband.cli import _COMMANDS, main
+from fockband.cli import _COMMANDS, _PARSER, main
 from fockband.radius import LADDER_BUDGET
 from fockband.serialize import (certificate_to_json, decomposition_to_json, matrix_to_json,
                                 tuple_to_json)
@@ -257,6 +257,52 @@ class TestDilateAndLift:
         assert report["lifted"]["p"] == 2
 
 
+#: The flags each verb takes besides --input and --config, among those below.
+VERB_FLAGS = {
+    "check-row": {"--tol"},
+    "check-dual-row": {"--tol", "--max-depth"},
+    "radius": {"--theta-points"},
+    "joint-radius": {"--depth", "--theta-points"},
+    "ando-complete": {"--tol", "--depth", "--epsilon"},
+    "en-decompose": {"--epsilon"},
+    "dual-positive": {"--tol"},
+    "cp-check": {"--tol", "--max-depth"},
+    "dilate": {"--tol", "--depth"},
+    "lift": {"--theta-points", "--depth"},
+    "sweep": {"--depth", "--theta-points"},
+    "verify": {"--tol"},
+}
+
+
+class TestVerbFlags:
+    def test_table_covers_every_verb(self):
+        assert set(VERB_FLAGS) == set(_COMMANDS)
+
+    @pytest.mark.parametrize("flag", ["--tol", "--max-depth", "--depth", "--theta-points",
+                                      "--epsilon"])
+    @pytest.mark.parametrize("verb", sorted(VERB_FLAGS))
+    def test_verb_takes_only_its_flags(self, run, verb, flag):
+        if flag in VERB_FLAGS[verb]:
+            args = _PARSER.parse_args([verb, flag, "9"])
+            assert getattr(args, flag[2:].replace("-", "_")) == 9
+        else:
+            code, out = run([verb, flag, "9"], {})
+            assert code == 3
+            assert json.loads(out) == {"error": "InputError",
+                                       "message": f"unrecognized arguments: {flag} 9"}
+
+    @pytest.mark.parametrize("argv", [
+        ["check-dual-row", "--max-depth", "abc"], ["check-dual-row", "--bogus", "1"], [],
+    ], ids=["malformed-value", "unknown-flag", "no-verb"])
+    def test_usage_error_exits_3_with_one_report(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(scalar_tuple_json(0.3, 0.4))))
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == "InputError"
+
+
 class TestErrorsAndConfig:
     def test_back_to_back_calls_leak_no_flags(self, run):
         # The parser is built once, at import; a flag given to one call must not stick.
@@ -342,9 +388,16 @@ class TestErrorsAndConfig:
                         scalar_tuple_json(0.1))
         assert code == 3
         assert "cap" in json.loads(out)["message"]
-        with pytest.raises(SystemExit) as exc:
-            main(["joint-radius", "--cap", "100"])
-        assert exc.value.code == 2
+        code, out = run(["joint-radius", "--cap", "100"])
+        assert code == 3
+        assert json.loads(out)["error"] == "InputError"
+
+    def test_env_depth_and_depth_flag(self, run, monkeypatch):
+        # joint-radius has one depth flag; without it the depth is max_depth.
+        monkeypatch.setenv("FOCKBAND_MAX_DEPTH", "3")
+        t = scalar_tuple_json(0.1, 0.1)
+        assert json.loads(run(["joint-radius"], t)[1])["depth"] == 3
+        assert json.loads(run(["joint-radius", "--depth", "2"], t)[1])["depth"] == 2
 
     def test_config_file_applies(self, run, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -3,6 +3,7 @@ import pytest
 
 from fockband import (InputError, MatrixTuple, ando_complete, dual_element,
                       dual_map, en_decompose, en_element)
+from fockband.cli import RunConfig, _verify_certificate
 from fockband.serialize import (certificate_from_json, certificate_to_json,
                                 decomposition_from_json, decomposition_to_json,
                                 dual_element_from_json, dual_element_to_json,
@@ -106,6 +107,19 @@ class TestCertificateRoundTrip:
         back = certificate_from_json(wire)
         assert back.margin == float(np.linalg.eigvalsh(back.arrowhead)[0]) < 0.0
         assert not back.strictly_valid()
+
+    def test_sum_gap_fails_both_checks(self):
+        t = MatrixTuple.from_arrays([np.array([[0.4]], dtype=complex)])
+        wire = certificate_to_json(ando_complete(t))
+        # a = 0.5, b = 0.6 with arm 0.1: a psd arrowhead, but a + b is not I.
+        wire["a"]["re"][0][0], wire["b"]["re"][0][0] = 0.5, 0.6
+        wire["arms"][0]["re"][0][0] = 0.1
+        back = certificate_from_json(wire)
+        assert back.margin > 0.0
+        assert not back.strictly_valid()
+        code, report = _verify_certificate(wire, RunConfig())
+        assert code == 1 and report["valid"] is False
+        assert report["sum_gap"] == pytest.approx(0.1, abs=1e-15)
 
     def test_malformed_rejected(self):
         with pytest.raises(InputError):
