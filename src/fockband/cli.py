@@ -260,11 +260,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
-        prog="fockband",
+        prog="fockband", allow_abbrev=False,
         description="Positivity certificates for band operators over truncated isometries")
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, (_, flags) in _COMMANDS.items():
-        sp = sub.add_parser(verb)
+        sp = sub.add_parser(verb, allow_abbrev=False)
         sp.add_argument("--input", "-i", help="input JSON file (default: stdin)")
         sp.add_argument("--config", help="RunConfig JSON file")
         for flag in flags:

@@ -37,7 +37,8 @@ from .errors import ConvergenceError, DomainError, InputError
 from .fock import MatrixTuple
 # lam_min is unused here: perfbench/test_bench.py::test_untraced_run_installs_no_wrapper reads it.
 from .linalg import as_matrix, lam_max, lam_min, op_norm  # noqa: F401
-from .shorted import AndoCertificate, ando_complete, band_min_eig, first_nonpositive_depth
+from .shorted import (AndoCertificate, ando_complete, band_lower_bound, band_min_eig,
+                      first_nonpositive_depth)
 
 CERTIFIED_YES = "certified_yes"
 CERTIFIED_NO = "certified_no"
@@ -172,7 +173,10 @@ def is_dual_row_contraction(t: MatrixTuple, max_depth: int = MAX_DEPTH,
 
     One pass of the p x p level recursion (see the shorted module) at shift
     ``-tol`` finds the first depth d* <= max_depth at which some band
-    eigenvalue is at most ``-tol``.  Band eigenvalues are then computed from
+    eigenvalue is at most ``-tol``.  That pass runs only when the lower
+    bound lo of ``band_lower_bound`` at max_depth is at most ``-tol``: lo falls
+    with the depth and bounds every band_d, d <= max_depth, from below, so
+    otherwise no depth can be flagged.  Band eigenvalues are then computed from
     d* upwards (or at max_depth alone when there is no such depth), and one
     below ``-tol`` refutes the claim at that depth (compressions of a
     positive operator stay positive, so the refutation is sound for the
@@ -182,7 +186,8 @@ def is_dual_row_contraction(t: MatrixTuple, max_depth: int = MAX_DEPTH,
     default); only a strictly valid certificate upgrades the verdict to
     certified_yes.
     """
-    first_bad = first_nonpositive_depth(t, max_depth, shift=-tol)
+    _, lo = band_lower_bound(t, max_depth)
+    first_bad = first_nonpositive_depth(t, max_depth, shift=-tol) if lo <= -tol else None
     for d in range(max_depth if first_bad is None else first_bad, max_depth + 1):
         margin = band_min_eig(t, d)
         if margin < -tol:

@@ -99,7 +99,8 @@ class AndoCertificate:
     def verify(self, tol: float = 1e-8) -> dict:
         """Certificate semantics with their numbers: a + b == I exactly, arrowhead
         margin >= -tol, and the Hermitian parts of a and b strictly positive."""
-        sum_gap = float(np.linalg.norm(self.a + self.b - np.eye(self.a.shape[0]), 2))
+        gap = self.a + self.b - np.eye(self.a.shape[0])
+        sum_gap = float(np.linalg.norm(gap, 2)) if gap.any() else 0.0  # no SVD of a zero gap
         a_min = float(np.linalg.eigvalsh(0.5 * (self.a + self.a.conj().T))[0])
         b_min = float(np.linalg.eigvalsh(0.5 * (self.b + self.b.conj().T))[0])
         valid = sum_gap == 0.0 and self.margin >= -tol and a_min > 0.0 and b_min > 0.0
@@ -215,8 +216,8 @@ def check_depth(depth: int, budget: int = PEEL_BUDGET) -> None:
 
 
 def _row_and_adjoints(t: MatrixTuple) -> tuple[np.ndarray, np.ndarray]:
-    """The p x np rows [a_1 .. a_n] and [a_1* .. a_n*] that one level step multiplies."""
-    return np.hstack(t.a), np.hstack([m.conj().T for m in t.a])
+    """The p x np row [a_1 .. a_n] and the n x p x p stack a_1* .. a_n* of one level step."""
+    return np.hstack(t.a), np.stack([m.conj().T for m in t.a])
 
 
 def _positive_definite(x: np.ndarray) -> bool:
@@ -228,35 +229,50 @@ def _positive_definite(x: np.ndarray) -> bool:
 
 
 def _gains(x: np.ndarray, adj: np.ndarray) -> np.ndarray:
-    """The gains K_i = X^{-1} a_i*, stacked n x p x p."""
-    p = x.shape[0]
-    return np.linalg.solve(x, adj).reshape(p, -1, p).swapaxes(0, 1)
+    """The gains K_i = X^{-1} a_i*, stacked n x p x p like the adjoint stack ``adj``."""
+    return np.linalg.solve(x, adj)
 
 
 def _walk(stacks: tuple[np.ndarray, np.ndarray], depth: int, shift: float = 0.0,
           slope: bool = False) -> tuple[int, np.ndarray, np.ndarray | None]:
     """Walk X_0 = (1 - shift) I, X_{k+1} = X_0 - sum a_i X_k^{-1} a_i* up to X_depth.
 
-    ``stacks`` is ``_row_and_adjoints(t)``.  Returns ``(depth, X_depth, dX_depth)``
-    when X_0..X_{depth-1} are positive definite, so that X_depth is the vacuum
-    short of ``band_depth - shift * I`` if it is positive definite itself; else
+    ``stacks`` is ``_row_and_adjoints(t)``; one solve against its adjoint stack gives
+    the n x p x p gains, whose np x p view [K_1; ..; K_n] the row multiplies.
+    Returns ``(depth, X_depth, dX_depth)`` when X_0..X_{depth-1} are positive
+    definite, so that X_depth is the vacuum short of
+    ``band_depth - shift * I`` if it is positive definite itself; else
     ``(k, X_k, dX_k)`` at the first k < depth whose X_k is not.  With ``slope``,
     dX = dX/dshift comes along as -I + sum_i K_i* dX K_i; otherwise it is None.
     """
     row, adj = stacks
     p = row.shape[0]
+    eye = np.eye(p)
     base = (1.0 - shift) * np.eye(p, dtype=np.complex128)
-    x, dx = base, (-np.eye(p) if slope else None)
+    x, dx = base, (-eye if slope else None)
     for k in range(depth):
         if not _positive_definite(x):
             return k, x, dx
         c = _gains(x, adj)
         stacked = c.reshape(-1, p)
         if slope:
-            dx = stacked.conj().T @ (dx @ c).reshape(-1, p) - np.eye(p)
+            dx = stacked.conj().T @ (dx @ c).reshape(-1, p) - eye
         out = base - row @ stacked
         x = 0.5 * (out + out.conj().T)
     return depth, x, dx
+
+
+def band_lower_bound(t: MatrixTuple, depth: int) -> tuple[float, float]:
+    """``(r, lo)``: r = ||sum a_i a_i*||^(1/2) and lo = 1 - 2 r cos(pi/(depth+2)).
+
+    The coupling operator has norm r and vanishes at power depth + 1, so its
+    numerical radius is at most r cos(pi/(depth+2)) (Haagerup-de la Harpe):
+    lo bounds lam_min(band_d) from below at every d <= depth, and is exact
+    for scalar tuples.
+    """
+    check_depth(depth)
+    r = math.sqrt(max(0.0, float(np.linalg.eigvalsh(t.row_gram())[-1])))
+    return r, 1.0 - 2.0 * r * math.cos(math.pi / (depth + 2))
 
 
 def band_min_eig(t: MatrixTuple, depth: int) -> float:
@@ -265,18 +281,14 @@ def band_min_eig(t: MatrixTuple, depth: int) -> float:
     It is the root of f(mu) = lam_min(X_depth(mu)).  Below its pole f is
     concave with slope <= -1, so Newton from the left lands right of the
     root and then decreases monotonically to it; an iterate past the pole
-    becomes the bracket's upper end and the next one bisects.  With
-    r = ||sum a_i a_i*||^(1/2) the bracket is [1 - 2 r cos(pi/(depth+2)), 1 - r]:
-    the coupling operator has norm r and vanishes at power depth + 1, so its
-    numerical radius is at most r cos(pi/(depth+2)) (Haagerup-de la Harpe),
-    and 1 - r is lam_min(band_1).  The lower end is exact for scalar tuples.
+    becomes the bracket's upper end and the next one bisects.  The bracket
+    is [lo, 1 - r] with r and lo from ``band_lower_bound``; 1 - r is lam_min(band_1).
     """
-    check_depth(depth)
-    r = math.sqrt(max(0.0, float(np.linalg.eigvalsh(t.row_gram())[-1])))
+    r, lo = band_lower_bound(t, depth)
     if depth == 0 or r == 0.0:
         return 1.0
     stacks = _row_and_adjoints(t)
-    lo, hi = 1.0 - 2.0 * r * math.cos(math.pi / (depth + 2)), 1.0 - r
+    hi = 1.0 - r
     # Resolution of mu and of the shifted diagonal 1 - mu on the bracket.
     tol = 4.0 * np.finfo(float).eps * max(1.0, r)
     mu, newton = lo, False
@@ -360,31 +372,52 @@ def ando_complete(t: MatrixTuple, depth: int = 6, epsilon: float | None = None,
                           epsilon_used=float(epsilon), depth_used=depth, arms=t)
 
 
+def _stein(k: np.ndarray) -> np.ndarray:
+    """I - sum_i kron(K_i*, K_i^T) for the n x p x p gains ``k``: the matrix of
+    H -> H - sum_i K_i* H K_i on row-major vec(H).
+
+    Each term is one broadcast outer product, the entries of ``np.kron``; the
+    terms are added in order i = 1..n, one p^2 x p^2 temporary at a time.
+    """
+    p = k.shape[1]
+    total = 0
+    for m in k:
+        kh, kt = m.conj().T, m.T
+        total += (kh[:, None, :, None] * kt[None, :, None, :]).reshape(p * p, p * p)
+    return np.eye(p * p) - total
+
+
 def _fixed_point(t: MatrixTuple, tol: float) -> tuple[np.ndarray, float]:
     """Newton from X = I on X + sum a_i X^{-1} a_i* = I, to the first margin >= -tol.
 
-    Each step solves H - sum K_i* H K_i = I - X - sum a_i K_i, K_i = X^{-1} a_i*, densely
-    in row-major vec form.  For a dual row contraction the iterates decrease to the
-    maximal solution (Guo-Lancaster), so a pivot that is not positive definite, a
-    singular step or a rising one ends the iteration; the level recursion then tells
-    refutation from exhaustion.
+    Each step solves H - sum K_i* H K_i = I - X - sum a_i K_i, K_i = X^{-1} a_i*, on
+    row-major vec(H) through the Stein matrix of ``_stein``, assembled one broadcast
+    outer product per term.  The arrowhead is assembled once; a step rewrites only
+    its diagonal blocks I - X and X before the eigensolve.  For a dual row
+    contraction the iterates decrease to the maximal solution (Guo-Lancaster), so a
+    pivot that is not positive definite, a singular step or a rising one ends the
+    iteration; the level recursion then tells refutation from exhaustion.
     """
     p, eye = t.p, np.eye(t.p, dtype=np.complex128)
     row, adj = _row_and_adjoints(t)
+    head = arrowhead_matrix(eye, t.a, eye)
+    blocks = [slice(i * p, (i + 1) * p) for i in range(1, t.n + 1)]
     x = eye
     for _ in range(NEWTON_BUDGET):
         try:
             np.linalg.cholesky(x)
             k = _gains(x, adj)
-            stein = np.eye(p * p) - sum(np.kron(m.conj().T, m.T) for m in k)
-            h = np.linalg.solve(stein, np.ravel(eye - x - row @ k.reshape(-1, p))).reshape(p, p)
+            h = np.linalg.solve(_stein(k), np.ravel(eye - x - row @ k.reshape(-1, p))).reshape(p, p)
         except np.linalg.LinAlgError:
             break
         h = 0.5 * (h + h.conj().T)
         if np.linalg.eigvalsh(h)[-1] > tol:
             break
         x = x + h
-        margin = _arrowhead_margin(eye - x, t.a, x)
+        head[:p, :p] = eye - x
+        for b in blocks:
+            head[b, b] = x
+        margin = float(np.linalg.eigvalsh(head)[0])
         if margin >= -tol:
             return x, margin
     depth = first_nonpositive_depth(t, PEEL_BUDGET)

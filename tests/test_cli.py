@@ -291,16 +291,21 @@ class TestVerbFlags:
             assert json.loads(out) == {"error": "InputError",
                                        "message": f"unrecognized arguments: {flag} 9"}
 
-    @pytest.mark.parametrize("argv", [
-        ["check-dual-row", "--max-depth", "abc"], ["check-dual-row", "--bogus", "1"], [],
-    ], ids=["malformed-value", "unknown-flag", "no-verb"])
-    def test_usage_error_exits_3_with_one_report(self, argv, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["check-dual-row", "--max-depth", "abc"], "invalid"),
+        (["check-dual-row", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        ([], "required"),
+        # A flag prefix is no alias: argparse would read these as --max-word 0 --depth 2.
+        (["dilate", "--max", "0", "--d", "2"], "unrecognized arguments: --max 0 --d 2"),
+    ], ids=["malformed-value", "unknown-flag", "no-verb", "flag-prefix"])
+    def test_usage_error_exits_3_with_one_report(self, argv, message, monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(scalar_tuple_json(0.3, 0.4))))
         assert main(argv) == 3
         out, err = capsys.readouterr()
         assert err == ""
         assert out.count("\n") == 1
-        assert json.loads(out)["error"] == "InputError"
+        report = json.loads(out)
+        assert report["error"] == "InputError" and message in report["message"]
 
 
 class TestErrorsAndConfig:

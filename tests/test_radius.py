@@ -11,7 +11,7 @@ from fockband import (CERTIFIED_NO, CERTIFIED_YES, UNDECIDED, ContractionVerdict
                       is_dual_row_contraction, is_row_contraction,
                       joint_numerical_radius, lam_min, make_fock,
                       numerical_radius, radius, shorted)
-from fockband.shorted import band_min_eig, first_nonpositive_depth
+from fockband.shorted import band_lower_bound, band_min_eig, first_nonpositive_depth
 
 from support import random_row_contraction, random_tuple, unitary
 
@@ -286,6 +286,59 @@ def test_verdict_matches_two_solve_flow(n, p, max_depth, tol, kind, seed):
         assert got.certificate.margin == want.certificate.margin
         assert got.certificate.epsilon_used == want.certificate.epsilon_used
         assert got.certificate.depth_used == want.certificate.depth_used
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), p=st.integers(1, 3), max_depth=st.integers(0, 8),
+       tol=st.sampled_from([0.0, 1e-8]), frac=st.floats(0.3, 1.3),
+       diagonal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_scan_cannot_flag_above_the_lower_bound(n, p, max_depth, tol, frac, diagonal, seed):
+    """lo > -tol leaves no depth d <= max_depth for the refutation scan to flag."""
+    rng = np.random.default_rng(seed)
+    # Row norm r = frac / (2 cos(pi/(max_depth+2))), so lo = 1 - frac; lo is exact for
+    # conjugated diagonal tuples, whose depth-d radius is r cos(pi/(d+2)).
+    r = 0.5 * frac / math.cos(math.pi / (max_depth + 2))
+    t = conjugated_diagonal(rng, n, p, 2.0 * r) if diagonal else \
+        random_row_contraction(rng, n, p, norm=r)
+    _, lo = band_lower_bound(t, max_depth)
+    # Draws with frac > 1 test band_lower_bound itself: a bound set too high would keep them.
+    # Within rounding of -tol, the pivot test of the scan is rounding too.
+    assume(lo > -tol + 1e-10)
+    for d in range(max_depth + 1):
+        assert first_nonpositive_depth(t, d, shift=-tol) is None
+
+
+class TestScanSkip:
+    """The refutation scan runs only when the lower bound of band_lower_bound is at most -tol."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        depths = []
+
+        def counting(t, max_depth, shift=0.0):
+            depths.append(max_depth)
+            return first_nonpositive_depth(t, max_depth, shift)
+        monkeypatch.setattr(radius, "first_nonpositive_depth", counting)
+        return depths
+
+    def test_interior_and_boundary_verdicts_skip_the_scan(self, scans, rng):
+        interior = is_dual_row_contraction(random_row_contraction(rng, 2, 2, norm=0.4))
+        boundary = is_dual_row_contraction(conjugated_diagonal(rng, 2, 2, 1.0))
+        assert interior.status == boundary.status == CERTIFIED_YES
+        assert boundary.certificate.epsilon_used == 0.0
+        assert scans == []
+
+    @pytest.mark.parametrize("make, depth", [
+        (lambda rng: random_row_contraction(rng, 2, 2, norm=1.1), 1),
+        # r = 0.55: band_d is positive for d <= 5, and 0.55 cos(pi/8) > 1/2 flags depth 6.
+        (lambda rng: conjugated_diagonal(rng, 2, 2, 1.1), 6),
+    ], ids=["r=1.1", "diagonal-rho=1.1"])
+    def test_refutation_keeps_the_scan(self, scans, rng, make, depth):
+        t = make(rng)
+        v = is_dual_row_contraction(t)
+        assert scans == [6]
+        assert v.status == CERTIFIED_NO
+        assert v.depth == first_nonpositive_depth(t, 6, shift=-1e-8) == depth
 
 
 class TestDualImpliesRow:

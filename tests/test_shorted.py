@@ -14,9 +14,9 @@ from fockband.fock import band_operator_sparse, fock_dim, make_fock
 from fockband.cli import RunConfig, _verify_certificate
 from fockband.serialize import certificate_to_json
 from fockband.shorted import (PEEL_BUDGET, _arrowhead_margin, _fixed_point, _row_and_adjoints,
-                              _walk, band_min_eig, first_nonpositive_depth)
+                              _stein, _walk, band_min_eig, first_nonpositive_depth)
 
-from support import random_psd, random_tuple, unitary
+from support import random_matrix, random_psd, random_tuple, unitary
 
 
 def scalars(*values):
@@ -221,6 +221,15 @@ class TestAndoComplete:
         assert cert.depth_used == 3000 and cert.strictly_valid()
         assert peak < 200_000
 
+    def test_zero_gap_is_not_normed(self, monkeypatch):
+        cert = ando_complete(scalars(0.3, 0.4))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("norm taken of an exactly zero gap")
+        monkeypatch.setattr(np.linalg, "norm", refuse)
+        report = cert.verify()
+        assert report["sum_gap"] == 0.0 and report["valid"]
+
     def test_budget_exhaustion(self, monkeypatch):
         # (0.3, 0.4) needs 12 Newton steps; no depth up to 64 refutes it.
         monkeypatch.setattr(shorted_mod, "NEWTON_BUDGET", 4)
@@ -235,6 +244,15 @@ def test_fixed_point_needs_few_newton_steps(monkeypatch, values):
     monkeypatch.setattr(shorted_mod, "NEWTON_BUDGET", 16)
     cert = ando_complete(scalars(*values))
     assert cert.epsilon_used == 0.0 and cert.strictly_valid()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), p=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_stein_matches_kron_sum(n, p, seed):
+    """The broadcast assembly has the entries and the summation order of np.kron's."""
+    rng = np.random.default_rng(seed)
+    k = np.stack([random_matrix(rng, p) for _ in range(n)])
+    assert np.array_equal(_stein(k), np.eye(p * p) - sum(np.kron(m.conj().T, m.T) for m in k))
 
 
 def peel_reference(t: MatrixTuple, tol: float) -> np.ndarray:
