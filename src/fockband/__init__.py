@@ -12,11 +12,9 @@ from .errors import CapacityError, ConvergenceError, DomainError, FockbandError,
 from .fock import (CuntzIsometries, MatrixTuple, TruncatedFock, band_operator,
                    band_operator_sparse, compress, coupling_operator_sparse,
                    cuntz_isometries, fock_dim, make_fock)
-from .linalg import (PsdReport, herm_eig, hermitize, kron, lam_max, lam_min, op_norm,
-                     pinv, psd_margin)
+from .linalg import PsdReport, hermitize, kron, lam_max, lam_min, op_norm, pinv, psd_margin
 from .radius import (CERTIFIED_NO, CERTIFIED_YES, UNDECIDED, ContractionVerdict,
-                     DualRowReport, RadiusEstimate, dual_implies_row,
-                     is_dual_row_contraction, is_row_contraction,
+                     RadiusEstimate, is_dual_row_contraction, is_row_contraction,
                      joint_numerical_radius, numerical_radius)
 from .shorted import (AndoCertificate, BlockSplit, ShortResult, VariationalReport,
                       ando_complete, arrowhead_matrix, block_split, short, variational_check)
@@ -32,14 +30,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FockbandError", "InputError", "CapacityError", "DomainError", "ConvergenceError",
-    "PsdReport", "hermitize", "herm_eig", "psd_margin", "kron", "pinv",
+    "PsdReport", "hermitize", "psd_margin", "kron", "pinv",
     "op_norm", "lam_max", "lam_min",
     "TruncatedFock", "CuntzIsometries", "fock_dim", "make_fock", "cuntz_isometries",
     "band_operator", "band_operator_sparse", "coupling_operator_sparse", "compress",
-    "MatrixTuple", "RadiusEstimate", "ContractionVerdict", "DualRowReport",
+    "MatrixTuple", "RadiusEstimate", "ContractionVerdict",
     "CERTIFIED_YES", "CERTIFIED_NO", "UNDECIDED", "numerical_radius",
     "joint_numerical_radius", "is_row_contraction", "is_dual_row_contraction",
-    "dual_implies_row",
     "BlockSplit", "ShortResult", "VariationalReport", "AndoCertificate",
     "block_split", "short", "variational_check", "arrowhead_matrix", "ando_complete",
     "EnElement", "PhiImage", "EnDecomposition", "DualElement", "DualVerdict",

@@ -136,9 +136,7 @@ def _cmd_en_decompose(args, cfg: RunConfig) -> tuple[int, dict]:
 def _cmd_dual_positive(args, cfg: RunConfig) -> tuple[int, dict]:
     e = serialize.dual_element_from_json(_load_payload(args))
     v = ensys.dual_positive(e, tol=cfg.tol)
-    report = {"status": v.status, "witness": float(v.witness),
-              "epsilons": list(v.epsilons), "row_norms": list(v.row_norms)}
-    return _STATUS_EXIT[v.status], report
+    return _STATUS_EXIT[v.status], {"status": v.status, "witness": float(v.witness)}
 
 
 def _cmd_cp_check(args, cfg: RunConfig) -> tuple[int, dict]:

@@ -6,9 +6,12 @@ tail diagonal b, and arms a_i; it maps onto the span of the truncated
 isometries through the quotient phi sending the corner unit and the tail
 unit each to half the identity and the arm units to half of S_i, S_i*.
 The dual system fixes the whole diagonal to a single coefficient B0 and
-keeps arms B_i; its positivity is equivalent to a row-contraction bound
-on the (rescaled) arms, which is what makes it a usable certificate
-target.
+keeps arms B_i; its positivity is equivalent to B0 >= 0 together with a
+row-contraction bound on the arms congruated by B0^{-1/2}.  That bound is
+decided exactly, from one eigendecomposition of B0 whose eigenvalues are
+floored at max(tol, eps * max(1, ||B0||)): flooring only enlarges B0, so a
+refutation stays sound, and an arm off range(B0) blows up instead of
+being lost.
 
 The decomposition half of the module certifies positivity of an ep-shifted
 arrowhead as a sum of Kronecker products P_ij (x) Q_ij where P is one
@@ -27,15 +30,11 @@ import numpy as np
 from .errors import DomainError, InputError
 from .fock import MatrixTuple, make_fock, cuntz_isometries
 from .linalg import as_matrix, hermitize, kron, psd_margin
-from .radius import (CERTIFIED_NO, CERTIFIED_YES, UNDECIDED, ContractionVerdict,
-                     is_dual_row_contraction)
+from .radius import CERTIFIED_NO, CERTIFIED_YES, ContractionVerdict, is_dual_row_contraction
 from .shorted import arrowhead_matrix
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
-
-#: Shift ladder for positivity of dual elements with a general diagonal.
-EPSILON_LADDER = (1e-2, 1e-4, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -234,60 +233,45 @@ def theta_embed(d: DualElement) -> np.ndarray:
 class DualVerdict:
     """Positivity verdict for a dual element.
 
-    ``witness`` is the decisive quantity: the squared row norm of the
-    (possibly congruated) arm tuple, whose comparison against 1 settles
-    each ladder rung.
+    ``witness`` is the decisive quantity: the least eigenvalue of B0 when
+    that refutes the element, otherwise the squared row norm of the arms
+    congruated by the floored B0^{-1/2}, whose comparison against 1
+    settles the verdict.
     """
 
     status: str
     witness: float
-    epsilons: tuple[float, ...]
-    row_norms: tuple[float, ...]
-
-
-def _row_norm(mats) -> float:
-    g = np.zeros(mats[0].shape, dtype=np.complex128)
-    for m in mats:
-        g += m @ m.conj().T
-    return float(np.linalg.eigvalsh(hermitize(g, "gram"))[-1])
 
 
 def dual_positive(d: DualElement, tol: float = 1e-8) -> DualVerdict:
-    """Decide positivity of a dual element through the row-contraction bound.
+    """Decide positivity of a dual element, i.e. of ``theta_embed(d)``.
 
-    With B0 equal to the identity the answer is exact: positive iff the
-    arm row norm is at most one.  A general Hermitian B0 is handled by
-    congruating the arms with (B0 + eps)^{-1/2} along a fixed shift
-    ladder; the verdict stays undecided when rungs disagree, since plain
-    positivity is the limit statement over all shifts.
+    The arrowhead is psd exactly when B0 is psd, the arms vanish off
+    range(B0), and the arms congruated by B0^{+1/2} form a row contraction.
+    One eigendecomposition B0 = V diag(w) V* decides all three.  A least
+    eigenvalue below -tol refutes the element with that eigenvalue as
+    witness.  Otherwise every arm is congruated by V diag(max(w, f))^{-1/2} V*
+    with the floor f = max(tol, eps * max(1, w[-1])), and the element is
+    positive iff the squared row norm of the result is at most 1 + tol.
+
+    Raising the eigenvalues to f gives a B0' >= B0, and the arrowhead of B0'
+    dominates the element's, so a row norm above 1 is a sound refutation;
+    an arm that leaks off range(B0) is scaled up by 1/f instead of being
+    dropped.  The float-rounding term eps keeps the floor positive at
+    tol = 0, where a singular B0 would otherwise divide by zero.
     """
     herm_gap = float(np.linalg.norm(d.B0 - d.B0.conj().T, 2))
     if herm_gap > 1e-12 * max(1.0, float(np.linalg.norm(d.B0, 2))):
         raise InputError(f"B0 must be Hermitian; anti-Hermitian part has norm {herm_gap:.3e}")
-    b0 = hermitize(d.B0, "B0")
-    eye = np.eye(d.p)
-    if np.array_equal(b0, eye.astype(np.complex128)):
-        norm = _row_norm(d.B)
-        status = CERTIFIED_YES if norm <= 1.0 + tol else CERTIFIED_NO
-        return DualVerdict(status=status, witness=norm, epsilons=(), row_norms=(norm,))
-    w = np.linalg.eigvalsh(b0)
+    w, v = np.linalg.eigh(hermitize(d.B0, "B0"))
     if w[0] < -tol:
-        return DualVerdict(status=CERTIFIED_NO, witness=float(w[0]),
-                           epsilons=(), row_norms=())
-    norms = []
-    for eps in EPSILON_LADDER:
-        wv, v = np.linalg.eigh(b0 + eps * eye)
-        inv_sqrt = (v * (1.0 / np.sqrt(wv))) @ v.conj().T
-        norms.append(_row_norm([inv_sqrt @ m @ inv_sqrt for m in d.B]))
-    worst = max(norms)
-    if all(nm <= 1.0 + tol for nm in norms):
-        status = CERTIFIED_YES
-    elif all(nm > 1.0 + tol for nm in norms):
-        status = CERTIFIED_NO
-    else:
-        status = UNDECIDED
-    return DualVerdict(status=status, witness=worst, epsilons=EPSILON_LADDER,
-                       row_norms=tuple(norms))
+        return DualVerdict(status=CERTIFIED_NO, witness=float(w[0]))
+    floor = max(tol, np.finfo(float).eps * max(1.0, w[-1]))
+    inv_sqrt = (v * (1.0 / np.sqrt(np.maximum(w, floor)))) @ v.conj().T
+    arms = MatrixTuple(d.n, d.p, tuple(inv_sqrt @ m @ inv_sqrt for m in d.B))
+    norm = float(np.linalg.eigvalsh(hermitize(arms.row_gram(), "gram"))[-1])
+    return DualVerdict(status=CERTIFIED_YES if norm <= 1.0 + tol else CERTIFIED_NO,
+                       witness=norm)
 
 
 @dataclass(frozen=True)

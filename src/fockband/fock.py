@@ -75,9 +75,6 @@ class MatrixTuple:
                 raise InputError(f"tuple entry {i + 1} has shape {m.shape}, expected ({p}, {p})")
         return MatrixTuple(n=len(mats), p=p, a=mats)
 
-    def adjoint(self) -> "MatrixTuple":
-        return MatrixTuple(self.n, self.p, tuple(m.conj().T for m in self.a))
-
     def scale(self, s: complex) -> "MatrixTuple":
         return MatrixTuple(self.n, self.p, tuple(s * m for m in self.a))
 

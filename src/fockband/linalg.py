@@ -59,18 +59,6 @@ class PsdReport:
         return self.min_eigenvalue >= -self.tolerance_used
 
 
-def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues ascending and
-    eigenvectors as columns, so that ``h == V @ diag(w) @ V.conj().T`` up
-    to the backward error of the solver.
-    """
-    h = hermitize(h)
-    w, v = np.linalg.eigh(h)
-    return w, v
-
-
 def psd_margin(h, tol: float | None = None) -> PsdReport:
     """Minimal eigenvalue of the Hermitian part of ``h`` with tolerance.
 

@@ -161,7 +161,8 @@ def is_row_contraction(t: MatrixTuple, tol: float = 1e-8) -> ContractionVerdict:
     The margin is ``1 - ||sum a_i a_i*||``; no truncation is involved, so
     the verdict is never undecided.
     """
-    norm = float(np.linalg.eigvalsh(0.5 * (t.row_gram() + t.row_gram().conj().T))[-1])
+    g = t.row_gram()
+    norm = float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[-1])
     margin = 1.0 - norm
     status = CERTIFIED_YES if norm <= 1.0 + tol else CERTIFIED_NO
     return ContractionVerdict(status=status, margin=margin)
@@ -202,25 +203,3 @@ def is_dual_row_contraction(t: MatrixTuple, max_depth: int = MAX_DEPTH,
         return ContractionVerdict(status=CERTIFIED_YES, margin=float(margin),
                                   depth=max_depth, certificate=cert)
     return ContractionVerdict(status=UNDECIDED, margin=float(margin), depth=max_depth)
-
-
-@dataclass(frozen=True)
-class DualRowReport:
-    """Joint outcome of the dual and plain row-contraction checks."""
-
-    dual: ContractionVerdict
-    row: ContractionVerdict
-
-    @property
-    def implication_ok(self) -> bool:
-        """A certified dual row contraction must be a row contraction."""
-        if self.dual.status != CERTIFIED_YES:
-            return True
-        return self.row.status == CERTIFIED_YES
-
-
-def dual_implies_row(t: MatrixTuple, max_depth: int = MAX_DEPTH,
-                     tol: float = 1e-8) -> DualRowReport:
-    """Run both contraction predicates and report them side by side."""
-    return DualRowReport(dual=is_dual_row_contraction(t, max_depth=max_depth, tol=tol),
-                         row=is_row_contraction(t, tol=tol))

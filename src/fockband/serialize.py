@@ -84,11 +84,6 @@ def en_element_from_json(d: Any) -> EnElement:
         raise InputError(f"malformed element JSON ({exc})")
 
 
-def dual_element_to_json(e: DualElement) -> dict[str, Any]:
-    return {"kind": "dual_element", "n": e.n, "p": e.p,
-            "B0": matrix_to_json(e.B0), "B": [matrix_to_json(m) for m in e.B]}
-
-
 def dual_element_from_json(d: Any) -> DualElement:
     if not isinstance(d, dict):
         raise InputError("dual element JSON must be an object")
@@ -97,11 +92,6 @@ def dual_element_from_json(d: Any) -> DualElement:
                             [matrix_from_json(m, f"B[{i}]") for i, m in enumerate(d["B"])])
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed dual element JSON ({exc})")
-
-
-def dual_map_to_json(m: DualMap) -> dict[str, Any]:
-    return {"kind": "dual_map", "n": m.n, "q": m.q,
-            "unit": matrix_to_json(m.unit), "x": [matrix_to_json(x) for x in m.x]}
 
 
 def dual_map_from_json(d: Any) -> DualMap:

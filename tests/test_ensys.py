@@ -1,13 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fockband import (CERTIFIED_NO, CERTIFIED_YES, UNDECIDED, DomainError,
+from fockband import (CERTIFIED_NO, CERTIFIED_YES, DomainError,
                       DualElement, InputError, dual_cp_check, dual_element,
                       dual_map, dual_positive, en_decompose, en_element,
                       image_operator, kernel_membership, lam_min,
                       pattern_matrix, phi_apply, psd_margin, theta_embed)
 
-from support import random_matrix, random_psd_arrowhead
+from support import random_matrix, random_psd_arrowhead, unitary
 
 
 def one(v):
@@ -146,7 +150,6 @@ class TestDualPositive:
     def test_general_diagonal_positive(self):
         v = dual_positive(dual_element(2.0 * np.eye(1), [one(1.9)]))
         assert v.status == CERTIFIED_YES
-        assert len(v.row_norms) == 3
         assert v.witness <= 1.0
 
     def test_general_diagonal_refuted(self):
@@ -158,13 +161,13 @@ class TestDualPositive:
         v = dual_positive(dual_element(-np.eye(1), [one(0.0)]))
         assert v.status == CERTIFIED_NO
         assert v.witness == pytest.approx(-1.0, abs=1e-12)
-        assert v.row_norms == ()
 
-    def test_singular_diagonal_disagreeing_rungs(self):
+    def test_singular_diagonal_arm_off_range_refuted(self):
+        # The arrowhead's 2 x 2 block [[0, 1e-3], [1e-3, 0]] has eigenvalue -1e-3.
         d = dual_element(np.diag([0.0, 1.0]),
                          [np.array([[1e-3, 0.0], [0.0, 0.0]])])
         v = dual_positive(d)
-        assert v.status == UNDECIDED
+        assert v.status == CERTIFIED_NO
 
     def test_rejects_non_hermitian_diagonal(self):
         with pytest.raises(InputError):
@@ -186,6 +189,68 @@ class TestDualPositive:
             assert (v.status == CERTIFIED_YES) == embed_psd
             agree += 1
         assert agree == 20
+
+    @pytest.mark.parametrize("tol", [1e-8, 0.0])
+    @pytest.mark.parametrize("b0, arm, status", [
+        # The arrowhead's least eigenvalue is -1e-7 and -1e-5: B0's small
+        # eigenvalue is half the arm's, however far below 1 it sits.
+        (np.diag([1.0, 1e-7]), np.diag([0.0, 2e-7]), CERTIFIED_NO),
+        (np.diag([1.0, 1e-5]), np.diag([0.0, 2e-5]), CERTIFIED_NO),
+        # Singular B0 with the arm on its range.
+        (np.diag([0.0, 1.0]), np.diag([0.0, 0.9]), CERTIFIED_YES),
+    ], ids=["small-eig-1e-7", "small-eig-1e-5", "singular-on-range"])
+    @pytest.mark.filterwarnings("error")
+    def test_small_and_zero_eigenvalues(self, b0, arm, status, tol):
+        v = dual_positive(dual_element(b0, [arm]), tol=tol)
+        assert v.status == status
+        assert np.isfinite(v.witness)
+
+    @pytest.mark.parametrize("tol", [1e-8, 0.0])
+    @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-8])
+    @pytest.mark.parametrize("arm, status, witness", [
+        (5.0, CERTIFIED_NO, 1.5625),
+        (3.9, CERTIFIED_YES, 0.950625),
+    ], ids=["refuted", "positive"])
+    def test_scale_invariant_above_the_floor(self, arm, status, witness, scale, tol):
+        """Positivity is invariant under scaling.
+
+        Every eigenvalue of B0 here is at or above the floor, so the congruated arms,
+        and the witness, must not move with the scale: B0 is floored, never shifted.
+        """
+        d = dual_element(scale * np.diag([2.0, 4.0]), [scale * np.diag([0.0, arm])])
+        v = dual_positive(d, tol=tol)
+        assert v.status == status
+        assert v.witness == pytest.approx(witness, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 3), p=st.integers(1, 4), rank_drop=st.integers(0, 2),
+           low=st.integers(-7, 0), diagonal=st.booleans(), row=st.floats(0.2, 2.0),
+           leak=st.booleans(), tol=st.sampled_from([1e-8, 0.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_arrowhead_sign(self, n, p, rank_drop, low, diagonal, row, leak, tol,
+                                    seed):
+        """General psd B0, arms B0^{1/2} K_i B0^{1/2} on its range, with or without a leak off it.
+
+        B0's nonzero eigenvalues lie in [10^low, 10]; K has row norm ``row``.  A diagonal
+        B0 keeps its zero eigenvalues exactly zero, which tol = 0 must survive.
+        """
+        rng = np.random.default_rng(seed)
+        rank = max(1, p - rank_drop)
+        w = np.zeros(p)
+        w[:rank] = 10.0 ** rng.uniform(low, 1.0, size=rank)
+        u = np.eye(p) if diagonal else unitary(rng, p)
+        half = (u * np.sqrt(w)) @ u.conj().T
+        ks = [random_matrix(rng, p) for _ in range(n)]
+        top = float(np.sqrt(np.linalg.eigvalsh(sum(k @ k.conj().T for k in ks))[-1]))
+        scale = 10.0 ** rng.uniform(-4.0, 0.0) if leak else 0.0
+        arms = [half @ (k * (row / top)) @ half + scale * random_matrix(rng, p) for k in ks]
+        d = dual_element((u * w) @ u.conj().T, arms)
+        lam = float(np.linalg.eigvalsh(theta_embed(d))[0])
+        assume(abs(lam) > 1e-6 * max(1.0, float(w.max())))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = dual_positive(d, tol=tol)
+        assert v.status == (CERTIFIED_YES if lam > 0 else CERTIFIED_NO)
 
 
 class TestThetaEmbed:

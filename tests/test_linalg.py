@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fockband
-from fockband import (InputError, herm_eig, hermitize, kron, lam_max, lam_min, op_norm,
+from fockband import (InputError, hermitize, kron, lam_max, lam_min, op_norm,
                       pinv, psd_margin)
 from fockband.linalg import as_matrix
 
@@ -53,13 +53,6 @@ def test_psd_margin_tolerance_scales_with_norm():
     rep = psd_margin(1e6 * np.eye(2) - np.diag([0.0, 1e-4]))
     # a 1e-4 dip under a 1e6 norm is far inside the relative tolerance
     assert rep.is_psd
-
-
-def test_herm_eig_ascending_and_reconstructs(rng):
-    h = random_psd(rng, 5) - 0.3 * np.eye(5)
-    w, v = herm_eig(h)
-    assert np.all(np.diff(w) >= 0)
-    assert np.allclose(v @ np.diag(w) @ v.conj().T, h, atol=1e-12)
 
 
 def test_kron_block_placement(rng):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fockband import (CERTIFIED_NO, CERTIFIED_YES, UNDECIDED, ContractionVerdict,
                       ConvergenceError, DomainError, MatrixTuple, ando_complete,
-                      band_operator, coupling_operator_sparse, dual_implies_row,
+                      band_operator, coupling_operator_sparse,
                       is_dual_row_contraction, is_row_contraction,
                       joint_numerical_radius, lam_min, make_fock,
                       numerical_radius, radius, shorted)
@@ -342,21 +342,21 @@ class TestScanSkip:
 
 
 class TestDualImpliesRow:
+    """A dual row contraction is a row contraction (||T|| <= 2 w(T)); not conversely."""
+
     def test_dual_no_row_yes(self):
-        rep = dual_implies_row(scalars(0.9, 0.1))
-        assert rep.dual.status == CERTIFIED_NO
-        assert rep.dual.depth == 2
-        assert rep.row.status == CERTIFIED_YES
-        assert rep.implication_ok
+        t = scalars(0.9, 0.1)
+        dual = is_dual_row_contraction(t)
+        assert dual.status == CERTIFIED_NO
+        assert dual.depth == 2
+        assert is_row_contraction(t).status == CERTIFIED_YES
 
     def test_both_yes(self):
-        rep = dual_implies_row(scalars(0.3, 0.4), max_depth=4)
-        assert rep.dual.status == CERTIFIED_YES
-        assert rep.row.status == CERTIFIED_YES
-        assert rep.implication_ok
+        t = scalars(0.3, 0.4)
+        assert is_dual_row_contraction(t, max_depth=4).status == CERTIFIED_YES
+        assert is_row_contraction(t).status == CERTIFIED_YES
 
     def test_both_no(self):
-        rep = dual_implies_row(scalars(1.2, 0.0))
-        assert rep.dual.status == CERTIFIED_NO
-        assert rep.row.status == CERTIFIED_NO
-        assert rep.implication_ok
+        t = scalars(1.2, 0.0)
+        assert is_dual_row_contraction(t).status == CERTIFIED_NO
+        assert is_row_contraction(t).status == CERTIFIED_NO
