@@ -15,11 +15,14 @@ so its block LDL* taken from the leaves up has one pivot per level:
 for the shifted band ``band_d - mu I``.  By Sylvester that operator is
 positive definite exactly when X_0..X_d are, and its short onto the
 vacuum block is X_d.  One walker, ``_walk``, runs this recursion in p x p
-arithmetic and stops at the first pivot that is not positive definite.
-Per-depth positivity, the vacuum short and the band's least eigenvalue
-(the root of lam_min(X_d(mu)), found by Newton with the walker's slope)
-are all read off it; the band itself is never built, so a request is
-bounded by its depth alone (``check_depth``).
+arithmetic, one linear solve per level with level 1 in closed form, and
+returns the first pivot that is not positive definite; the pivots are
+tested a batch at a time by one stacked Cholesky.  Per-depth positivity,
+the vacuum short and the band's least eigenvalue (the root of
+lam_min(X_d(mu)), found with the walker's slope by steps to the root of a
+pole model, as in secular-equation solvers) are all read off it; the band
+itself is never built, so a request is bounded by its depth alone
+(``check_depth``).
 
 Completion turns that machinery into a positivity certificate for a
 matrix tuple.  Short the epsilon-shrunk truncated band operator onto the
@@ -215,9 +218,33 @@ def check_depth(depth: int, budget: int = PEEL_BUDGET) -> None:
         raise CapacityError(f"depth {depth} exceeds the level budget {budget}")
 
 
-def _row_and_adjoints(t: MatrixTuple) -> tuple[np.ndarray, np.ndarray]:
-    """The p x np row [a_1 .. a_n] and the n x p x p stack a_1* .. a_n* of one level step."""
-    return np.hstack(t.a), np.stack([m.conj().T for m in t.a])
+@dataclass(frozen=True)
+class _Levels:
+    """What every level step of one tuple reads.
+
+    ``row`` is the p x np row [a_1 .. a_n], ``adj`` the n x p x p stack
+    a_1* .. a_n*, ``gram`` the Hermitian R = sum a_i a_i* and ``r`` = ||R||^(1/2).
+    """
+
+    row: np.ndarray
+    adj: np.ndarray
+    gram: np.ndarray
+    r: float
+
+
+def _levels(t: MatrixTuple) -> _Levels:
+    """The level data of ``t``, built on first use and kept on the (frozen) tuple, so
+    that the calls of one verdict share one row gram and one eigensolve."""
+    levels = t.__dict__.get("_levels")
+    if levels is None:
+        g = t.row_gram()
+        r = math.sqrt(max(0.0, float(np.linalg.eigvalsh(g)[-1])))
+        levels = _Levels(row=np.hstack(t.a), adj=np.stack([m.conj().T for m in t.a]),
+                         gram=0.5 * (g + g.conj().T), r=r)
+        for shared in (levels.row, levels.adj, levels.gram):  # every later call reads these
+            shared.setflags(write=False)
+        object.__setattr__(t, "_levels", levels)
+    return levels
 
 
 def _positive_definite(x: np.ndarray) -> bool:
@@ -228,38 +255,83 @@ def _positive_definite(x: np.ndarray) -> bool:
     return True
 
 
+def _first_not_positive_definite(xs: np.ndarray) -> int | None:
+    """Index of the first pivot of the stack ``xs`` that is not positive definite, else None.
+
+    One stacked Cholesky settles the usual case; only a failing stack is searched.
+    """
+    try:
+        np.linalg.cholesky(xs)
+        return None
+    except np.linalg.LinAlgError:
+        return next((j for j, x in enumerate(xs) if not _positive_definite(x)), None)
+
+
 def _gains(x: np.ndarray, adj: np.ndarray) -> np.ndarray:
     """The gains K_i = X^{-1} a_i*, stacked n x p x p like the adjoint stack ``adj``."""
     return np.linalg.solve(x, adj)
 
 
-def _walk(stacks: tuple[np.ndarray, np.ndarray], depth: int, shift: float = 0.0,
+#: Pivots checked by one stacked Cholesky of the walk.
+_CHECK_LEVELS = 32
+
+
+def _walk(levels: _Levels, depth: int, shift: float = 0.0,
           slope: bool = False) -> tuple[int, np.ndarray, np.ndarray | None]:
     """Walk X_0 = (1 - shift) I, X_{k+1} = X_0 - sum a_i X_k^{-1} a_i* up to X_depth.
 
-    ``stacks`` is ``_row_and_adjoints(t)``; one solve against its adjoint stack gives
-    the n x p x p gains, whose np x p view [K_1; ..; K_n] the row multiplies.
     Returns ``(depth, X_depth, dX_depth)`` when X_0..X_{depth-1} are positive
-    definite, so that X_depth is the vacuum short of
-    ``band_depth - shift * I`` if it is positive definite itself; else
-    ``(k, X_k, dX_k)`` at the first k < depth whose X_k is not.  With ``slope``,
-    dX = dX/dshift comes along as -I + sum_i K_i* dX K_i; otherwise it is None.
+    definite, so that X_depth is the vacuum short of ``band_depth - shift * I`` if
+    it is positive definite itself; else ``(k, X_k, dX_k)`` at the first k < depth
+    whose X_k is not.  With ``slope``, dX = dX/dshift comes along as
+    -I + sum_i K_i* dX K_i; otherwise it is None.
+
+    Level 1 is closed form: with s = 1 - shift, X_1 = s I - R/s and dX_1 = -I - R/s^2.
+    Each later level is one solve against ``levels.adj`` for the n x p x p gains,
+    whose np x p view [K_1; ..; K_n] the row multiplies.  The pivots are kept
+    unsymmetrized and checked ``_CHECK_LEVELS`` at a time by one stacked Cholesky
+    (which reads the lower triangle); only the pivot returned is hermitized.
     """
-    row, adj = stacks
-    p = row.shape[0]
+    p = levels.row.shape[0]
     eye = np.eye(p)
-    base = (1.0 - shift) * np.eye(p, dtype=np.complex128)
-    x, dx = base, (-eye if slope else None)
-    for k in range(depth):
-        if not _positive_definite(x):
-            return k, x, dx
-        c = _gains(x, adj)
-        stacked = c.reshape(-1, p)
-        if slope:
-            dx = stacked.conj().T @ (dx @ c).reshape(-1, p) - eye
-        out = base - row @ stacked
-        x = 0.5 * (out + out.conj().T)
-    return depth, x, dx
+    s = 1.0 - shift
+    base = s * np.eye(p, dtype=np.complex128)
+    if depth == 0 or not s > 0.0:
+        return 0, base, (-eye if slope else None)
+    x = base - levels.gram / s
+    dx = -eye - levels.gram / (s * s) if slope else None
+    if depth == 1 or not s > levels.r:  # X_1 = s I - R/s is positive definite iff s > r
+        return 1, x, dx
+    size = min(_CHECK_LEVELS, depth - 2)
+    xs = np.empty((size, p, p), dtype=np.complex128)
+    dxs = np.empty((size, p, p), dtype=np.complex128) if slope else None
+    first, j = 2, 0  # xs[:j] holds the unchecked pivots X_first .. X_{first + j - 1}
+    for k in range(2, depth + 1):
+        try:
+            c = _gains(x, levels.adj)
+        except np.linalg.LinAlgError:  # X_{k-1} is singular
+            c = None
+        else:
+            stacked = c.reshape(-1, p)
+            if slope:
+                dx = stacked.conj().T @ (dx @ c).reshape(-1, p) - eye
+            x = base - levels.row @ stacked
+            if k == depth:
+                break
+            xs[j] = x
+            if slope:
+                dxs[j] = dx
+            j += 1
+        if c is None or j == size or k == depth - 1:
+            bad = _first_not_positive_definite(xs[:j])
+            if bad is not None:
+                k, x, dx = first + bad, xs[bad], (dxs[bad] if slope else None)
+                break
+            if c is None:
+                k -= 1
+                break
+            first, j = k + 1, 0
+    return k, 0.5 * (x + x.conj().T), dx
 
 
 def band_lower_bound(t: MatrixTuple, depth: int) -> tuple[float, float]:
@@ -271,45 +343,113 @@ def band_lower_bound(t: MatrixTuple, depth: int) -> tuple[float, float]:
     for scalar tuples.
     """
     check_depth(depth)
-    r = math.sqrt(max(0.0, float(np.linalg.eigvalsh(t.row_gram())[-1])))
+    r = _levels(t).r
     return r, 1.0 - 2.0 * r * math.cos(math.pi / (depth + 2))
+
+
+def _fitted_pole(mu: float, f: float, g: float, prev: tuple | None, pole: float) -> float:
+    """The pole P of A + B/(P - mu) through (f, g = f') at ``mu`` and the (mu, f) of ``prev``.
+
+    With s the secant slope, P - mu = s (mu - mu_prev) / (g - s).  A fit that puts
+    P left of either point, or not left of ``pole`` (a shift already seen at or past
+    the pole), gives way to ``pole``.
+    """
+    if prev is None:
+        return pole
+    delta = mu - prev[0]
+    s = (f - prev[1]) / delta
+    u = s * delta / (g - s) if g != s else math.inf
+    return mu + u if 0.0 < u and 0.0 < u + delta and mu + u < pole else pole
+
+
+def _pole_step(mu: float, f: float, g: float, pole: float) -> float | None:
+    """Step to the root of A + B/(pole - mu) fitted to (f, g = f') at mu: f / (f/(pole - mu) - g).
+
+    Newton's step when the pole is not right of mu; None when the model has no root.
+    """
+    u = pole - mu
+    denom = f / u - g if u > 0.0 else -g
+    return f / denom if denom > 0.0 else None
+
+
+def _extrapolated_pole(stops: dict, depth: int) -> float | None:
+    """lam_min(band_{depth-1}) extrapolated from the walks that stopped short, or None.
+
+    ``stops`` maps a level k to the least shift whose walk stopped at X_k, which
+    lies in [lam_min(band_k), lam_min(band_{k-1})).  Those eigenvalues fall to their
+    limit like C/(k+2)^2 (for scalar tuples lam_min(band_k) = 1 - 2r cos(pi/(k+2)));
+    the law through the two deepest stops is read at k = depth - 1.
+    """
+    if len(stops) < 2:
+        return None
+    (k1, m1), (k2, m2) = sorted(stops.items())[-2:]
+    a1, a2 = (k1 + 2.0) ** -2, (k2 + 2.0) ** -2
+    c = (m1 - m2) / (a1 - a2)
+    return m2 + c * ((depth + 1.0) ** -2 - a2) if c > 0.0 else None
 
 
 def band_min_eig(t: MatrixTuple, depth: int) -> float:
     """Least eigenvalue of the band operator of ``t`` at truncation depth ``depth``.
 
-    It is the root of f(mu) = lam_min(X_depth(mu)).  Below its pole f is
-    concave with slope <= -1, so Newton from the left lands right of the
-    root and then decreases monotonically to it; an iterate past the pole
-    becomes the bracket's upper end and the next one bisects.  The bracket
-    is [lo, 1 - r] with r and lo from ``band_lower_bound``; 1 - r is lam_min(band_1).
+    It is 1 - r at depth 1.  At depth d >= 2 it is the root of f(mu) =
+    lam_min(X_d(mu)) in the bracket [lo, 1 - r] (r and lo from ``band_lower_bound``),
+    left of the pole P = lam_min(band_{d-1}) <= 1 - r past which the walk stops
+    short of X_d.  Left of P, f is concave with slope <= -1, so Newton from the
+    left overshoots, often past P.
+
+    Each walk that reaches X_d steps instead to the root of the pole model
+    f ~ A + B/(P - mu), as secular-equation solvers do (Bunch-Nielsen-Sorensen,
+    Numer. Math. 31, 1978): fitted to (f, f') there and to f at the walk before,
+    or, with one such walk, with P the least shift seen at or past the pole.  For
+    a simple pole the model is exact.  When Newton from the left reaches 1 - r, one
+    probe just below 1 - r settles a root that coincides with the pole (nilpotent
+    arms, where the model would only halve the distance).  A walk that stops short
+    at level k has mu >= lam_min(band_k); the next shift is P as extrapolated from
+    the two deepest such stops (``_extrapolated_pole``), which at large depths
+    finds the cluster of poles next to the root in a few walks.  A shift outside
+    the bracket bisects it.  The iteration ends when a step, or the step that its
+    quadratic convergence predicts next, is within the resolution of mu.
     """
     r, lo = band_lower_bound(t, depth)
     if depth == 0 or r == 0.0:
         return 1.0
-    stacks = _row_and_adjoints(t)
-    hi = 1.0 - r
+    if depth == 1:
+        return 1.0 - r
+    levels = _levels(t)
+    hi = pole = top = 1.0 - r
     # Resolution of mu and of the shifted diagonal 1 - mu on the bracket.
     tol = 4.0 * np.finfo(float).eps * max(1.0, r)
-    mu, newton = lo, False
+    # prev: (mu, f) of the walk before; last: the step to mu; stops: level -> shift.
+    mu, prev, last, stops = lo, None, None, {}
     for _ in range(NEWTON_BUDGET):
-        k, x, dx = _walk(stacks, depth, mu, slope=True)
-        if k < depth:  # mu lies past the pole lam_min(band_{depth-1}) of f
-            hi = mu
+        k, x, dx = _walk(levels, depth, mu, slope=True)
+        nxt = step = None
+        if k < depth:  # mu lies at or past the pole, and past lam_min(band_k)
+            hi = pole = stops[k] = mu
+            nxt = _extrapolated_pole(stops, depth)
         else:
             w, v = np.linalg.eigh(x)
-            f, slope = float(w[0]), float(np.real(np.vdot(v[:, 0], dx @ v[:, 0])))
-            nxt = mu - f / slope
-            # A Newton iterate lies right of the root, so f >= 0 there is rounding.
-            if abs(nxt - mu) <= tol or (newton and f >= 0.0):
-                return nxt
+            f, g = float(w[0]), float(np.real(np.vdot(v[:, 0], dx @ v[:, 0])))
             lo, hi = (mu, hi) if f > 0.0 else (lo, mu)
-            if nxt < hi:
-                mu, newton = nxt, True
-                continue
-        mu, newton = 0.5 * (lo + hi), False
-        if hi - lo <= tol:
-            return mu
+            if hi == top and mu - f / g >= top and lo < top - 2.0 * tol:
+                nxt = top - 2.0 * tol
+            else:
+                fit = _fitted_pole(mu, f, g, prev, pole)
+                step = _pole_step(mu, f, g, fit)
+                if step is not None:
+                    # The next step is about c step^2, with c read off the last two steps
+                    # and off the model's curvature 1/(P - mu).
+                    curvature = 1.0 / (fit - mu) if fit > mu else 0.0
+                    if abs(step) <= tol or (last is not None and step * step * max(
+                            abs(step) / last ** 2, curvature) <= tol):
+                        return mu + step
+                    nxt = mu + step
+            prev = (mu, f)
+        if nxt is None or not lo < nxt < hi:
+            nxt, step = 0.5 * (lo + hi), None
+            if hi - lo <= tol:
+                return nxt
+        mu, last = nxt, step
     raise ConvergenceError(
         f"least band eigenvalue at depth {depth} not converged after {NEWTON_BUDGET} passes")
 
@@ -318,7 +458,7 @@ def first_nonpositive_depth(t: MatrixTuple, max_depth: int, shift: float = 0.0) 
     """Least d <= max_depth with ``band_d - shift * I`` not positive definite, else None."""
     check_depth(max_depth)
     # band_d - shift * I is positive definite exactly when X_0..X_d are.
-    k, _, _ = _walk(_row_and_adjoints(t), max_depth + 1, shift)
+    k, _, _ = _walk(_levels(t), max_depth + 1, shift)
     return k if k <= max_depth else None
 
 
@@ -358,7 +498,7 @@ def ando_complete(t: MatrixTuple, depth: int = 6, epsilon: float | None = None,
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon:.3e}")
 
     p = t.p
-    k, b, _ = _walk(_row_and_adjoints(t), depth, epsilon)
+    k, b, _ = _walk(_levels(t), depth, epsilon)
     if k < depth or not _positive_definite(b):
         raise DomainError(f"band operator is not positive definite at depth {k} "
                           f"(shift {epsilon:.3e})")
@@ -399,7 +539,8 @@ def _fixed_point(t: MatrixTuple, tol: float) -> tuple[np.ndarray, float]:
     iteration; the level recursion then tells refutation from exhaustion.
     """
     p, eye = t.p, np.eye(t.p, dtype=np.complex128)
-    row, adj = _row_and_adjoints(t)
+    levels = _levels(t)
+    row, adj = levels.row, levels.adj
     head = arrowhead_matrix(eye, t.a, eye)
     blocks = [slice(i * p, (i + 1) * p) for i in range(1, t.n + 1)]
     x = eye

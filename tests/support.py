@@ -61,3 +61,27 @@ def random_unit_scalars(rng: np.random.Generator, n: int) -> MatrixTuple:
     c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     c = c / np.linalg.norm(c)
     return MatrixTuple.from_arrays([np.array([[x]]) for x in c])
+
+
+def reference_walk(t: MatrixTuple, depth: int, shift: float = 0.0,
+                   slope: bool = False) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """The level walk one level at a time: a Cholesky test of each pivot, a broadcast
+    solve for the gains and a hermitized next pivot.  Same contract as
+    ``fockband.shorted._walk``, which it checks."""
+    p = t.p
+    row, adj = np.hstack(t.a), np.stack([m.conj().T for m in t.a])
+    eye = np.eye(p)
+    base = (1.0 - shift) * np.eye(p, dtype=np.complex128)
+    x, dx = base, (-eye if slope else None)
+    for k in range(depth):
+        try:
+            np.linalg.cholesky(x)
+        except np.linalg.LinAlgError:
+            return k, x, dx
+        c = np.linalg.solve(x, adj)
+        stacked = c.reshape(-1, p)
+        if slope:
+            dx = stacked.conj().T @ (dx @ c).reshape(-1, p) - eye
+        out = base - row @ stacked
+        x = 0.5 * (out + out.conj().T)
+    return depth, x, dx

@@ -123,3 +123,22 @@ def test_import_leaves_scipy_sparse_to_dilate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.split() == ["False", "True", "14", "True"]
+
+
+def test_dual_row_verdict_imports_no_scipy():
+    # The level recursion behind check-dual-row is numpy alone; scipy's import would
+    # add about 0.3 s to every process that asks for a verdict.
+    src = os.path.dirname(os.path.dirname(fockband.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import contextlib, io, json, sys\n"
+            "import fockband.cli\n"
+            "sys.stdin = io.StringIO(json.dumps({'a': [\n"
+            "    {'rows': 1, 'cols': 1, 're': [[0.3]], 'im': [[0.0]]},\n"
+            "    {'rows': 1, 'cols': 1, 're': [[0.4]], 'im': [[0.0]]}]}))\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = fockband.cli.main(['check-dual-row'])\n"
+            "print(code, json.loads(out.getvalue())['status'],\n"
+            "      sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.split() == ["0", "certified_yes", "[]"]

@@ -308,6 +308,29 @@ def test_scan_cannot_flag_above_the_lower_bound(n, p, max_depth, tol, frac, diag
         assert first_nonpositive_depth(t, d, shift=-tol) is None
 
 
+@pytest.mark.parametrize("make, status", [
+    (lambda rng: random_row_contraction(rng, 2, 2, norm=0.4), CERTIFIED_YES),
+    (lambda rng: random_row_contraction(rng, 2, 2, norm=1.1), CERTIFIED_NO),
+    (lambda rng: conjugated_diagonal(rng, 2, 2, 1.0), CERTIFIED_YES),
+    (lambda rng: conjugated_diagonal(rng, 2, 2, 1.03), UNDECIDED),
+], ids=["interior", "refuted", "boundary", "just-over"])
+def test_verdict_builds_the_level_data_once(monkeypatch, rng, make, status):
+    """The row gram and its eigensolve, and the level stacks, once per verdict: the
+    bound, the scan, each band eigenvalue and the completion share them."""
+    t = make(rng)
+    grams = []
+    real_gram = MatrixTuple.row_gram
+
+    def counting(self):
+        grams.append(self)
+        return real_gram(self)
+    monkeypatch.setattr(MatrixTuple, "row_gram", counting)
+    v = is_dual_row_contraction(t)
+    assert v.status == status
+    assert len(grams) == 1
+    assert shorted._levels(t) is shorted._levels(t)
+
+
 class TestScanSkip:
     """The refutation scan runs only when the lower bound of band_lower_bound is at most -tol."""
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from fockband import (AndoCertificate, BlockSplit, CapacityError, ConvergenceErr
 from fockband.fock import band_operator_sparse, fock_dim, make_fock
 from fockband.cli import RunConfig, _verify_certificate
 from fockband.serialize import certificate_to_json
-from fockband.shorted import (PEEL_BUDGET, _arrowhead_margin, _fixed_point, _row_and_adjoints,
+from fockband.shorted import (PEEL_BUDGET, _arrowhead_margin, _fixed_point, _levels,
                               _stein, _walk, band_min_eig, first_nonpositive_depth)
 
-from support import random_matrix, random_psd, random_tuple, unitary
+from support import (random_matrix, random_psd, random_row_contraction, random_tuple,
+                     reference_walk, unitary)
 
 
 def scalars(*values):
@@ -28,6 +30,10 @@ def interior_tuple(rng, n=2, p=2, row_norm=0.38):
     t = random_tuple(rng, n, p, scale=0.2)
     norm = float(np.sqrt(np.linalg.eigvalsh(t.row_gram())[-1].real))
     return t.scale(row_norm / norm)
+
+
+#: Nilpotent arms with a_i a_j = 0; r = 1/2.
+NILPOTENT = MatrixTuple.from_arrays([np.array([[0.0, c], [0.0, 0.0]]) for c in (0.3, 0.4j)])
 
 
 class TestShort:
@@ -258,7 +264,7 @@ def test_stein_matches_kron_sum(n, p, seed):
 def peel_reference(t: MatrixTuple, tol: float) -> np.ndarray:
     """The retired continuation: shift-free pivots, margin checked at doubling depths."""
     eye = np.eye(t.p, dtype=np.complex128)
-    stacks = _row_and_adjoints(t)
+    stacks = _levels(t)
     checkpoint = 16
     while checkpoint <= PEEL_BUDGET:
         depth, x, _ = _walk(stacks, checkpoint)
@@ -307,7 +313,7 @@ def dense_vacuum_short(band: np.ndarray, p: int) -> np.ndarray:
 def test_peel_matches_global_short(rng):
     t = random_tuple(rng, 2, 2, scale=0.2)
     p = t.p
-    stacks = _row_and_adjoints(t)
+    stacks = _levels(t)
     for depth in range(1, 6):
         k, x, _ = _walk(stacks, depth)
         assert k == depth
@@ -329,7 +335,7 @@ def test_level_recursion_matches_dense_band(n, p, depth, seed, scale, mu):
     expected = next((d for d, m in enumerate(mins) if m < mu), None)
     assert first_nonpositive_depth(t, depth, shift=mu) == expected
     if expected is None:
-        k, vacuum, _ = _walk(_row_and_adjoints(t), depth, shift=mu)
+        k, vacuum, _ = _walk(_levels(t), depth, shift=mu)
         assert k == depth
         shifted = band - mu * np.eye(band.shape[0])
         assert np.linalg.norm(vacuum - dense_vacuum_short(shifted, p), 2) <= 1e-12
@@ -339,7 +345,7 @@ def test_level_recursion_matches_dense_band(n, p, depth, seed, scale, mu):
 @given(n=st.integers(1, 3), p=st.integers(1, 3), depth=st.integers(0, 5),
        seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 2.0))
 def test_band_min_eig_matches_dense_band(n, p, depth, seed, scale):
-    """Newton on the level recursion against the dense band's least eigenvalue."""
+    """The root of the level recursion's least pivot eigenvalue against the dense band's."""
     t = random_tuple(np.random.default_rng(seed), n, p, scale=scale)
     band = band_operator_sparse(make_fock(n, depth), t).toarray()
     assert band_min_eig(t, depth) == pytest.approx(lam_min(band), abs=1e-12)
@@ -352,11 +358,124 @@ def test_band_min_eig_exact_and_degenerate_cases(rng):
     padded = MatrixTuple.from_arrays([np.pad(m, ((0, 1), (0, 1))) for m in t.a])
     # Nilpotent arms with a_i a_j = 0: lam_min(band_d) = 1 - r at every depth d >= 1,
     # the upper end of the bracket and, for d >= 2, the pole of the recursion too.
-    nilpotent = MatrixTuple.from_arrays([np.array([[0.0, c], [0.0, 0.0]]) for c in (0.3, 0.4j)])
-    for u in (padded, nilpotent):
+    for u in (padded, NILPOTENT):
         for depth in range(1, 6):
             band = band_operator_sparse(make_fock(u.n, depth), u).toarray()
             assert band_min_eig(u, depth) == pytest.approx(lam_min(band), abs=1e-12)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Counts the level walks that band_min_eig runs."""
+    count = [0]
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return _walk(*args, **kwargs)
+    monkeypatch.setattr(shorted_mod, "_walk", counting)
+    return count
+
+
+def test_band_min_eig_root_at_the_pole_takes_few_walks(walks):
+    # The root 1 - r is also the pole for d >= 2: Newton from the left overshoots into
+    # a failing walk every time, and plain bisection took 50-51 walks at depths 2-5.
+    for depth in range(1, 6):
+        walks[0] = 0
+        value = band_min_eig(NILPOTENT, depth)
+        band = band_operator_sparse(make_fock(NILPOTENT.n, depth), NILPOTENT).toarray()
+        assert value == pytest.approx(lam_min(band), abs=1e-12)
+        assert walks[0] <= 5
+
+
+def walk_count_tuples():
+    rng = np.random.default_rng(20261022)
+    return [random_row_contraction(rng, int(rng.integers(1, 4)), int(rng.integers(2, 4)),
+                                   norm=float(rng.uniform(0.2, 0.9))) for _ in range(40)]
+
+
+#: Median walks per band_min_eig on ``walk_count_tuples`` (at depth 500, on the first six)
+#: for the solver this one replaced: Newton from the left, bisecting after every overshoot.
+NEWTON_BISECT_MEDIANS = {6: 10, 50: 18, 500: 27}
+
+
+def test_band_min_eig_walk_counts(walks):
+    """Pole-model steps: at most 7 walks in the median at depth 6 and at most 10 in all,
+    fewer than the old solver at depth 50, and at most 20 at depth 500.  Without the
+    extrapolated pole the medians are 6, 15 and 23.5; with a fixed pole alone and no
+    two-point fit, 7 and 18 at depths 6 and 50."""
+    for depth, tuples, median_cap, max_cap in (
+            (6, 40, 7, 10), (50, 40, NEWTON_BISECT_MEDIANS[50] - 1, None), (500, 6, 20, None)):
+        counts = []
+        for t in walk_count_tuples()[:tuples]:
+            walks[0] = 0
+            band_min_eig(t, depth)
+            counts.append(walks[0])
+        assert np.median(counts) <= median_cap, (depth, counts)
+        assert max_cap is None or max(counts) <= max_cap, (depth, counts)
+
+
+def test_band_min_eig_deep_root_matches_bisection():
+    """At depth 500 the root sits about 5e-8 left of the pole, where the steps shrink
+    slowly at first; the stop rule must not end short of it.  Bisection on positive
+    definiteness of band_500 - mu I gives the root to the resolution of mu (a stop rule
+    read off the last two steps alone ended 4.5e-14 right of it on this tuple)."""
+    rng = np.random.default_rng(7)
+    t = [random_row_contraction(rng, int(rng.integers(1, 4)), int(rng.integers(2, 4)),
+                                norm=float(rng.uniform(0.2, 0.9))) for _ in range(2)][1]
+    depth = 500
+    r, lo = shorted_mod.band_lower_bound(t, depth)
+    hi = 1.0 - r
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if first_nonpositive_depth(t, depth, mid) is None else (lo, mid)
+    assert band_min_eig(t, depth) == pytest.approx(lo, abs=1e-14)
+
+
+def assert_walks_agree(t, depth, mu, slope):
+    k, x, dx = _walk(_levels(t), depth, mu, slope)
+    kr, xr, dxr = reference_walk(t, depth, mu, slope=True)
+    assert k == kr
+    assert np.array_equal(x, x.conj().T)
+    # Rounding at one level moves the walk like a shift of about eps ||X||, so X_k moves
+    # by dX_k times that: compare to 1e-12 where ||dX_k|| <= 1e3 (the largest relative
+    # difference seen there over 30,000 random walks was 7e-14).
+    if np.linalg.norm(dxr, 2) <= 1e3:
+        assert np.linalg.norm(x - xr, 2) <= 1e-12 * max(1.0, np.linalg.norm(xr, 2))
+        if slope:
+            assert np.linalg.norm(dx - dxr, 2) <= 1e-12 * max(1.0, np.linalg.norm(dxr, 2))
+    assert (dx is None) == (not slope)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), p=st.integers(1, 3), depth=st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 0.6),
+       frac=st.floats(0.0, 1.0), slope=st.booleans())
+def test_walk_matches_reference_walker(n, p, depth, seed, scale, frac, slope):
+    """The batched walker against the one-Cholesky-per-level walk, at shifts from
+    lo - 0.1 to 1.2 and depths past one stacked check."""
+    t = random_tuple(np.random.default_rng(seed), n, p, scale=scale)
+    _, lo = shorted_mod.band_lower_bound(t, depth)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_walks_agree(t, depth, (lo - 0.1) + frac * (1.3 - lo), slope)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 6, 40])
+def test_walk_matches_reference_walker_at_singular_and_large_shifts(depth):
+    # At shift 1 - r = 0.5 the nilpotent tuple's X_1 = diag(0, 0.5) is exactly singular.
+    for t, mu in ((NILPOTENT, 0.5), (NILPOTENT, 1.0), (scalars(0.3, 0.4), 1.0),
+                  (scalars(0.3, 0.4), 1.2), (scalars(0.3, 0.4), 0.5)):
+        for slope in (False, True):
+            assert_walks_agree(t, depth, mu, slope)
+    assert _walk(_levels(NILPOTENT), 6, 0.5)[0] == 1
+
+
+def test_deep_refutation_depths():
+    # Tuples just past the boundary: the first depth with a band eigenvalue below 0.
+    for t, depth in ((scalars(0.5002), 110), (scalars(0.3, 0.4001), 174)):
+        for shift in (0.0, -1e-8):
+            assert first_nonpositive_depth(t, 1000, shift=shift) == depth
+            assert first_nonpositive_depth(t, depth - 1, shift=shift) is None
 
 
 @pytest.mark.parametrize("entry", [
