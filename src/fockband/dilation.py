@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError, InputError
-from .fock import MatrixTuple, capped_dim, fock_dim, make_fock
+from .fock import MatrixTuple, capped_dim, fock_dim
 from .linalg import hermitize
 from .radius import LADDER_BUDGET, THETA_POINTS, joint_numerical_radius
 from .shorted import check_depth
@@ -54,9 +54,13 @@ def bunce_dilate(t: MatrixTuple, depth: int, tol: float = 1e-8) -> DilationResul
     """Build the depth-``depth`` dilation tower of a row contraction.
 
     The defect square root D = (I - (row A)*(row A))^{1/2} lives on n
-    copies of C^p; column strip i of D feeds the first word level of V_i.
-    Top-level columns are zeroed, mirroring the truncation convention of
-    the word space itself.
+    copies of C^p.  The vacuum column block of V_i is A_i stacked over
+    column strip i of D, which feeds the first word level; the block of
+    every other word w below the top level goes to the word w i through
+    an identity block.  Those shift entries are placed by one broadcast
+    over the inner words, and since the rows come out sorted, each V_i is
+    assembled directly in CSR form.  Top-level columns are zero,
+    mirroring the truncation convention of the word space itself.
     """
     import scipy.sparse as sp
     n, p = t.n, t.p
@@ -73,29 +77,20 @@ def bunce_dilate(t: MatrixTuple, depth: int, tol: float = 1e-8) -> DilationResul
     defect = hermitize((u * np.sqrt(w_clip)) @ u.conj().T, "defect")
     defect_rank = int(np.sum(w_clip > DEFECT_RANK_TOL))
 
-    block_rows = np.arange(p).repeat(p)
-    block_cols = np.tile(np.arange(p), p)
+    # Vacuum block: rows 0 .. (n+1)p - 1, p entries each.  Inner word k >= 1: its row
+    # (k n + i) p + c holds one entry, in column k p + c; those rows lie past the vacuum's.
+    words = np.arange(1, fock_dim(n, depth - 1))[:, None]
+    vacuum_rows = np.arange((n + 1) * p).repeat(p)
+    shift_rows = (words * (n * p) + np.arange(p)).ravel()
+    cols = np.concatenate([np.tile(np.arange(p), (n + 1) * p),
+                           (words * p + np.arange(p)).ravel()])
+    ones = np.ones(shift_rows.size, dtype=np.complex128)
+    bounds = np.arange(dim + 1)
     ops = []
     for i in range(1, n + 1):
-        rows, cols, vals = [], [], []
-        a_i = t.a[i - 1]
-        rows.append(block_rows)
-        cols.append(block_cols)
-        vals.append(a_i.ravel())
-        strip = defect[:, (i - 1) * p:i * p]
-        for j in range(1, n + 1):
-            rows.append(j * p + block_rows)
-            cols.append(block_cols)
-            vals.append(strip[(j - 1) * p:j * p, :].ravel())
-        for k in range(1, fock_dim(n, depth - 1)):
-            child = k * n + i
-            rows.append(child * p + np.arange(p))
-            cols.append(k * p + np.arange(p))
-            vals.append(np.ones(p, dtype=np.complex128))
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim), dtype=np.complex128)
-        ops.append(mat.tocsr())
+        vals = np.concatenate([t.a[i - 1].ravel(), defect[:, (i - 1) * p:i * p].ravel(), ones])
+        indptr = np.searchsorted(np.concatenate([vacuum_rows, shift_rows + i * p]), bounds)
+        ops.append(sp.csr_matrix((vals, cols, indptr), shape=(dim, dim)))
     return DilationResult(V=tuple(ops), depth=depth, defect_rank=defect_rank, p=p)
 
 
@@ -112,12 +107,18 @@ def verify_dilation(r: DilationResult, t: MatrixTuple, max_word: int = 3) -> Dil
     """Measure the orthogonal-range relations and word compressions.
 
     ``isometry_deviation`` is the worst norm of V_i* V_j minus delta_ij
-    times the projection onto sub-top levels; ``compression_deviation``
+    times the projection P onto sub-top levels; ``compression_deviation``
     the worst gap between a compressed dilation word and the matching
-    A-word, over words of length up to min(max_word, depth).  Words act
-    on the original block only, so each word costs one sparse apply to a
-    column slab instead of a full matrix product; no gram is densified.
+    A-word, over words of length up to min(max_word, depth).
     ``max_word == 0`` checks the isometry relations alone.
+
+    All n^2 grams come from one sparse product W* W of the stacked tower
+    W = [V_1 .. V_n]; P leaves the diagonal blocks by index arithmetic,
+    and each block's norm is taken on its rows and columns that hold
+    nonzeros (the vacuum block, up to rounding), so no gram is densified.
+    Words act on the original block only and are checked a level at a
+    time: each letter is applied once to the column-stacked slabs of the
+    whole level, and the level's compressions get one stacked norm.
     """
     import scipy.sparse as sp
     n, p = t.n, t.p
@@ -126,31 +127,42 @@ def verify_dilation(r: DilationResult, t: MatrixTuple, max_word: int = 3) -> Dil
     if max_word < 0:
         raise InputError(f"max_word must be >= 0, got {max_word}")
     dim = r.V[0].shape[0]
-    inner = make_fock(n, r.depth).inner_dim() * p
-    proj = sp.diags((np.arange(dim) < inner).astype(float), format="csr")
+    inner = fock_dim(n, r.depth - 1) * p
+    stacked = sp.hstack(r.V, format="csr")
+    gram = (stacked.conj().T @ stacked).tocoo()
+    rows, cols, vals = gram.row, gram.col, gram.data
+    # Every diagonal entry of P gets a gram entry, stored or not.
+    on_p = (rows == cols) & (rows % dim < inner)
+    diag = (np.arange(n)[:, None] * dim + np.arange(inner)).ravel()
+    gram_diag = np.zeros(n * dim, dtype=np.complex128)
+    gram_diag[rows[on_p]] = vals[on_p]
+    rows = np.concatenate([rows[~on_p], diag])
+    cols = np.concatenate([cols[~on_p], diag])
+    vals = np.concatenate([vals[~on_p], gram_diag[diag] - 1])
+    nonzero = vals != 0
+    rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
+    blocks = rows // dim * n + cols // dim
     iso_dev = 0.0
-    for i in range(n):
-        for j in range(n):
-            gram = (r.V[i].conj().T @ r.V[j] - (proj if i == j else 0)).tocsr()
-            # Norm on the rows and columns holding nonzeros: the vacuum block, up to rounding.
-            rows, cols = gram.nonzero()
-            if rows.size:
-                sub = gram[np.unique(rows)][:, np.unique(cols)].toarray()
-                iso_dev = max(iso_dev, float(np.linalg.norm(sub, 2)))
-    base = np.eye(dim, p, dtype=np.complex128)
+    for b in np.unique(blocks):
+        here = blocks == b
+        sub_rows, at_row = np.unique(rows[here], return_inverse=True)
+        sub_cols, at_col = np.unique(cols[here], return_inverse=True)
+        sub = np.zeros((sub_rows.size, sub_cols.size), dtype=np.complex128)
+        sub[at_row, at_col] = vals[here]
+        iso_dev = max(iso_dev, float(np.linalg.norm(sub, 2)))
+    # Level L: column block i m + w of ``slabs`` is V_i V_w on the original block, and
+    # a_words[i m + w] = a_i a_w, for the m words w of level L - 1.
+    slabs = np.eye(dim, p, dtype=np.complex128)
+    a_words = np.eye(p, dtype=np.complex128)[None]
     comp_dev = 0.0
     words = 0
-    frontier = [(base, np.eye(p, dtype=np.complex128))]
-    for _ in range(1, min(max_word, r.depth) + 1):
-        nxt = []
-        for slab, a_word in frontier:
-            for letter in range(n):
-                slab2 = r.V[letter] @ slab
-                a2 = t.a[letter] @ a_word
-                comp_dev = max(comp_dev, float(np.linalg.norm(slab2[:p, :p] - a2, 2)))
-                words += 1
-                nxt.append((slab2, a2))
-        frontier = nxt
+    for _ in range(min(max_word, r.depth)):
+        slabs = np.hstack([v @ slabs for v in r.V])
+        a_words = np.concatenate([a @ a_words for a in t.a])
+        m = a_words.shape[0]
+        corners = slabs[:p].reshape(p, m, p).transpose(1, 0, 2)
+        comp_dev = max(comp_dev, float(np.linalg.norm(corners - a_words, 2, axis=(1, 2)).max()))
+        words += m
     return DilationReport(isometry_deviation=iso_dev, compression_deviation=comp_dev,
                           words_checked=words)
 

@@ -291,6 +291,10 @@ def _walk(levels: _Levels, depth: int, shift: float = 0.0,
     whose np x p view [K_1; ..; K_n] the row multiplies.  The pivots are kept
     unsymmetrized and checked ``_CHECK_LEVELS`` at a time by one stacked Cholesky
     (which reads the lower triangle); only the pivot returned is hermitized.
+    Without the slope the recursion is a fixed map of X alone, so a checked batch
+    short of the last whose final pivot equals an earlier one of the batch ends the
+    walk: from there the pivots cycle through positive definite ones (a fixed point,
+    or a short cycle of roundings), and X_depth is read off that cycle.
     """
     p = levels.row.shape[0]
     eye = np.eye(p)
@@ -330,6 +334,13 @@ def _walk(levels: _Levels, depth: int, shift: float = 0.0,
             if c is None:
                 k -= 1
                 break
+            if not slope and k < depth - 1:
+                same = np.flatnonzero((xs[:j - 1] == x).all(axis=(1, 2)))
+                if same.size:
+                    # X_k == X_{k-q}: the pivots X_{k-q+1} .. X_k repeat forever.
+                    q = j - 1 - same[-1]
+                    k, x = depth, xs[j - 1 - (k - depth) % q]
+                    break
             first, j = k + 1, 0
     return k, 0.5 * (x + x.conj().T), dx
 

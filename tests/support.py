@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from fockband import EnElement, MatrixTuple, en_element
+from fockband import (DilationReport, DilationResult, EnElement, MatrixTuple, en_element,
+                      hermitize, make_fock)
+from fockband.dilation import DEFECT_RANK_TOL
 
 
 def random_matrix(rng: np.random.Generator, p: int, scale: float = 1.0) -> np.ndarray:
@@ -85,3 +87,70 @@ def reference_walk(t: MatrixTuple, depth: int, shift: float = 0.0,
         out = base - row @ stacked
         x = 0.5 * (out + out.conj().T)
     return depth, x, dx
+
+
+def reference_tower(t: MatrixTuple, depth: int) -> DilationResult:
+    """The dilation tower built block by block: A_i, then one defect block per first-level
+    word, then one identity block per inner word, gathered into a COO matrix.  Same
+    entries as ``fockband.bunce_dilate``, which it checks."""
+    import scipy.sparse as sp
+    n, p = t.n, t.p
+    dim = make_fock(n, depth).dim * p
+    row = np.hstack(t.a)
+    w, u = np.linalg.eigh(np.eye(n * p) - hermitize(row.conj().T @ row, "gram"))
+    w_clip = np.clip(w, 0.0, None)
+    defect = hermitize((u * np.sqrt(w_clip)) @ u.conj().T, "defect")
+    block_rows = np.arange(p).repeat(p)
+    block_cols = np.tile(np.arange(p), p)
+    ops = []
+    for i in range(1, n + 1):
+        rows, cols, vals = [block_rows], [block_cols], [t.a[i - 1].ravel()]
+        strip = defect[:, (i - 1) * p:i * p]
+        for j in range(1, n + 1):
+            rows.append(j * p + block_rows)
+            cols.append(block_cols)
+            vals.append(strip[(j - 1) * p:j * p, :].ravel())
+        for k in range(1, make_fock(n, depth).inner_dim()):
+            rows.append((k * n + i) * p + np.arange(p))
+            cols.append(k * p + np.arange(p))
+            vals.append(np.ones(p, dtype=np.complex128))
+        mat = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(dim, dim), dtype=np.complex128)
+        ops.append(mat.tocsr())
+    return DilationResult(V=tuple(ops), depth=depth,
+                          defect_rank=int(np.sum(w_clip > DEFECT_RANK_TOL)), p=p)
+
+
+def reference_verify(r: DilationResult, t: MatrixTuple, max_word: int = 3) -> DilationReport:
+    """The dilation relations one gram and one word at a time: V_i* V_j - delta_ij P for
+    each pair, normed on its nonzero rows and columns, and one sparse apply per word of
+    the frontier.  Same contract as ``fockband.verify_dilation``, which it checks."""
+    import scipy.sparse as sp
+    n, p = t.n, t.p
+    dim = r.V[0].shape[0]
+    inner = make_fock(n, r.depth).inner_dim() * p
+    proj = sp.diags((np.arange(dim) < inner).astype(float), format="csr")
+    iso_dev = 0.0
+    for i in range(n):
+        for j in range(n):
+            gram = (r.V[i].conj().T @ r.V[j] - (proj if i == j else 0)).tocsr()
+            rows, cols = gram.nonzero()
+            if rows.size:
+                sub = gram[np.unique(rows)][:, np.unique(cols)].toarray()
+                iso_dev = max(iso_dev, float(np.linalg.norm(sub, 2)))
+    comp_dev = 0.0
+    words = 0
+    frontier = [(np.eye(dim, p, dtype=np.complex128), np.eye(p, dtype=np.complex128))]
+    for _ in range(min(max_word, r.depth)):
+        nxt = []
+        for slab, a_word in frontier:
+            for letter in range(n):
+                slab2 = r.V[letter] @ slab
+                a2 = t.a[letter] @ a_word
+                comp_dev = max(comp_dev, float(np.linalg.norm(slab2[:p, :p] - a2, 2)))
+                words += 1
+                nxt.append((slab2, a2))
+        frontier = nxt
+    return DilationReport(isometry_deviation=iso_dev, compression_deviation=comp_dev,
+                          words_checked=words)

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import fockband.dilation as dilation_mod
+import fockband.fock as fock_mod
 from fockband import (CapacityError, DilationResult, DomainError, InputError,
                       MatrixTuple, bunce_dilate, cuntz_isometries,
                       joint_numerical_radius, lift_tuple, make_fock,
                       project_tuple, quotient_algebra, verify_dilation)
 
-from support import random_matrix, random_row_contraction
+from support import random_matrix, random_row_contraction, reference_tower, reference_verify
 
 
 def scalars(*values):
@@ -79,6 +83,23 @@ class TestBunceDilate:
         assert rep.isometry_deviation <= 1e-10
         assert rep.compression_deviation <= 1e-10
 
+    def test_verification_builds_no_word_space_and_no_dense_gram(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_dilation built the word space")
+        monkeypatch.setattr(fock_mod, "make_fock", refuse)
+        monkeypatch.setattr(dilation_mod, "make_fock", refuse, raising=False)
+        t = scalars(0.3, 0.4)
+        r = bunce_dilate(t, depth=8)
+        dim = r.V[0].shape[0]  # 511 rows: a dense (n dim)^2 gram takes 16.7 MB, dim^2 4.2 MB
+        tracemalloc.start()
+        try:
+            rep = verify_dilation(r, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dim * dim * 16 // 4
+        assert rep.isometry_deviation <= 1e-10
+
     def test_isometry_deviation_matches_dense_norm(self, rng):
         t = random_row_contraction(rng, 3, 2, norm=0.9)
         r = bunce_dilate(t, depth=3)
@@ -104,6 +125,49 @@ class TestBunceDilate:
                                    defect_rank=r.defect_rank, p=r.p)
         rep = verify_dilation(corrupted, t)
         assert rep.compression_deviation > 0.1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tower_and_report_equal_the_reference(self, n):
+        """The CSR arrays of every V_i and every report float, against the block-by-block
+        build and the per-pair, per-word verification, at norms inside, near and on 1."""
+        for p in (1, 2, 3):
+            for depth in range(1, 6):
+                rng = np.random.default_rng([n, p, depth])
+                norm = (0.3, 0.9, 1.0)[depth % 3]
+                t = random_row_contraction(rng, n, p, norm=norm)
+                r, ref = bunce_dilate(t, depth), reference_tower(t, depth)
+                assert r.defect_rank == ref.defect_rank
+                for v, u in zip(r.V, ref.V, strict=True):
+                    assert_same_csr(v, u)
+                for max_word in range(5):
+                    assert verify_dilation(r, t, max_word) == reference_verify(r, t, max_word)
+
+    def test_corrupted_tower_reports_equal_the_reference(self, rng):
+        t = random_row_contraction(rng, 3, 2, norm=0.9)
+        r = bunce_dilate(t, depth=3)
+        dim = r.V[0].shape[0]
+
+        def corrupted(*edits):
+            bad = [v.tolil() for v in r.V]
+            for i, row, col, value in edits:
+                bad[i][row, col] = value
+            return DilationResult(V=tuple(v.tocsr() for v in bad), depth=r.depth,
+                                  defect_rank=r.defect_rank, p=r.p)
+        for edits in (
+                [(1, 20, 5, r.V[1][20, 5] + 0.3), (2, 7, 9, r.V[2][7, 9] + 0.2j)],
+                # The shift entry from word 1 to word 1 1 gone: V_1* V_1 has no entry
+                # where P has its 1.
+                [(0, (1 * 3 + 1) * 2, 1 * 2, 0.0)],
+                # A top-level column of V_1, outside P, meeting the shift from word 1
+                # in row 8: V_1* V_1 gets 4 on its diagonal there, which must stay.
+                [(0, 8, dim - 1, 2.0)],
+                # A vacuum entry.
+                [(1, 0, 1, 2.0)],
+        ):
+            bad = corrupted(*edits)
+            for max_word in range(4):
+                assert verify_dilation(bad, t, max_word) == reference_verify(bad, t, max_word)
+            assert verify_dilation(bad, t).isometry_deviation > 0.1
 
     def test_shape_mismatch(self, rng):
         t = random_row_contraction(rng, 2, 2, norm=0.8)
@@ -208,3 +272,10 @@ class TestProject:
         q = quotient_algebra([1, 1], [0])
         with pytest.raises(InputError):
             project_tuple(q, scalars(0.1))
+
+
+def assert_same_csr(v, u):
+    assert v.format == u.format == "csr" and v.shape == u.shape and v.dtype == u.dtype
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(v, name), getattr(u, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name

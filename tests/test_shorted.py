@@ -7,10 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fockband.shorted as shorted_mod
-from fockband import (AndoCertificate, BlockSplit, CapacityError, ConvergenceError,
-                      DomainError, InputError, MatrixTuple, ando_complete,
-                      arrowhead_matrix, block_split, lam_min, psd_margin, short,
-                      variational_check)
+from fockband import (UNDECIDED, AndoCertificate, BlockSplit, CapacityError,
+                      ConvergenceError, DomainError, InputError, MatrixTuple, ando_complete,
+                      arrowhead_matrix, block_split, is_dual_row_contraction, lam_min,
+                      psd_margin, short, variational_check)
 from fockband.fock import band_operator_sparse, fock_dim, make_fock
 from fockband.cli import RunConfig, _verify_certificate
 from fockband.serialize import certificate_to_json
@@ -476,6 +476,59 @@ def test_deep_refutation_depths():
         for shift in (0.0, -1e-8):
             assert first_nonpositive_depth(t, 1000, shift=shift) == depth
             assert first_nonpositive_depth(t, depth - 1, shift=shift) is None
+
+
+@pytest.fixture
+def level_steps(monkeypatch):
+    """Counts the gain solves, one per level step past level 1."""
+    count = [0]
+    gains = shorted_mod._gains
+
+    def counting(*args):
+        count[0] += 1
+        return gains(*args)
+    monkeypatch.setattr(shorted_mod, "_gains", counting)
+    return count
+
+
+def test_scan_of_the_level_budget_stops_at_a_repeated_pivot(level_steps):
+    # An interior tuple's slope-free pivots settle into a bitwise fixed point or a short
+    # cycle, so the scan ends at the first checked batch that repeats one, not at
+    # 200,000 levels.
+    assert first_nonpositive_depth(interior_tuple(np.random.default_rng(7)), PEEL_BUDGET) is None
+    assert level_steps[0] <= 1000
+    # At tol = 0 the fixed point's margin misses 0 and its fallback runs that scan.
+    u = unitary(np.random.default_rng(0), 2)
+    t = MatrixTuple.from_arrays([u @ np.diag([0.495, 0.3]) @ u.conj().T])  # rho = 0.99
+    level_steps[0] = 0
+    assert is_dual_row_contraction(t, 1, 0.0).status == UNDECIDED
+    assert level_steps[0] <= 1000
+
+
+#: (seed, n = p, row norm) of interior tuples whose slope-free pivots end in a fixed
+#: point and in rounding cycles of periods 2, 3 and 4, in that order (as seen with
+#: OpenBLAS on x86-64; the checks below hold for any period).
+REPEATING = ((0, 2, 0.3), (1, 2, 0.45), (5, 2, 0.45), (15, 3, 0.45))
+
+
+@pytest.mark.parametrize("depth", [100, 1000, 3000])
+def test_deep_walks_match_reference_walker(depth, level_steps):
+    """Deep slope-free walks, ended early where the pivots repeat or run to the last level
+    (the boundary pair's pivots approach 1/2 like 1/k and never repeat).  One that ends
+    early returns the full walk's X_depth bitwise: the walk with the slope computes the
+    same pivots and never ends early."""
+    for seed, n, row_norm in REPEATING:
+        t = interior_tuple(np.random.default_rng(seed), n=n, p=n, row_norm=row_norm)
+        assert_walks_agree(t, depth, 0.0, False)
+        for d in (depth, depth + 1, depth + 2):
+            level_steps[0] = 0
+            k, x, _ = _walk(_levels(t), d)
+            assert level_steps[0] < d - 1
+            assert k == d and np.array_equal(x, _walk(_levels(t), d, slope=True)[1])
+    level_steps[0] = 0
+    assert_walks_agree(scalars(0.3, 0.4), depth, 0.0, False)
+    assert level_steps[0] == depth - 1
+    assert_walks_agree(scalars(0.5002), depth, 0.0, False)  # refuted at depth 110
 
 
 @pytest.mark.parametrize("entry", [
